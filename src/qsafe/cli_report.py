@@ -361,14 +361,7 @@ def _cmd_plan(args):
 def _cmd_attack(args):
     if args.trials < 1:
         raise ValidationError(f"trials must be >= 1, got {args.trials}")
-    if args.key_bits < 0:
-        raise ValidationError(f"key-bits must be >= 0, got {args.key_bits}")
-    if args.overhead < 0:
-        raise ValidationError(f"overhead must be >= 0, got {args.overhead}")
     clocks = args.clock_hz if args.clock_hz is not None else list(DEFAULT_CLOCKS)
-    for clock in clocks:
-        if clock <= 0:
-            raise ValidationError(f"clock-hz must be positive, got {clock}")
     seed = _resolve_seed(args.seed)
     mining = FixedInterval() if args.mining == "fixed" else Memoryless()
     scenario = AttackScenario(

@@ -14,9 +14,14 @@ Poisson-mining picture).  Both default to a 600 s mean.
 
 Randomness discipline: trials draw from a counter-based Philox stream
 keyed by (seed, stream).  Trial i owns counter block i and reads the
-first double of that block, so any contiguous chunk of trials can be
-generated independently and merged by summing win counts, with results
-bit-identical to a single serial run.
+first 64-bit word of that block, turned into a double in [0, 1) exactly
+as numpy's ``Generator.random`` does (top 53 bits times 2**-53).  Any
+contiguous range of trials can therefore be generated independently and
+merged by summing win counts, bit-identical to a single serial run.
+``race_win_count`` uses this itself: it streams its range through one
+bit generator in chunks of ``_CHUNK_TRIALS`` trials, so its memory is
+bounded by the chunk whatever the trial count, and its counts equal
+those of drawing the whole range at once.
 """
 
 import math
@@ -27,7 +32,11 @@ import numpy as np
 
 
 class InvalidClock(ValueError):
-    """Effective clock speed must be positive."""
+    """Effective clock speed must be finite and positive."""
+
+
+def _finite_positive(value: float) -> bool:
+    return math.isfinite(value) and value > 0
 
 
 @dataclass(frozen=True)
@@ -42,9 +51,14 @@ class QuantumAttacker:
     def __post_init__(self) -> None:
         if self.key_bits < 0:
             raise ValueError(f"key_bits must be >= 0, got {self.key_bits}")
-        if self.overhead_seconds < 0:
+        if not _finite_positive(self.effective_clock_hz):
+            raise InvalidClock(
+                "effective_clock_hz must be finite and positive, "
+                f"got {self.effective_clock_hz}"
+            )
+        if not (math.isfinite(self.overhead_seconds) and self.overhead_seconds >= 0):
             raise ValueError(
-                f"overhead_seconds must be >= 0, got {self.overhead_seconds}"
+                f"overhead_seconds must be finite and >= 0, got {self.overhead_seconds}"
             )
 
 
@@ -55,12 +69,25 @@ class FixedInterval:
 
     blocktime_seconds: float = 600.0
 
+    def __post_init__(self) -> None:
+        if not _finite_positive(self.blocktime_seconds):
+            raise ValueError(
+                f"blocktime_seconds must be finite and positive, got {self.blocktime_seconds}"
+            )
+
 
 @dataclass(frozen=True)
 class Memoryless:
     """Exponential inter-block times with the given mean."""
 
     mean_blocktime_seconds: float = 600.0
+
+    def __post_init__(self) -> None:
+        if not _finite_positive(self.mean_blocktime_seconds):
+            raise ValueError(
+                "mean_blocktime_seconds must be finite and positive, "
+                f"got {self.mean_blocktime_seconds}"
+            )
 
 
 MiningModel = FixedInterval | Memoryless
@@ -96,10 +123,6 @@ class RaceOutcome:
 def break_duration(attacker: QuantumAttacker) -> float:
     """Seconds to derive the private key: key_bits**2 gate cycles at the
     effective clock, plus fixed overhead."""
-    if attacker.effective_clock_hz <= 0:
-        raise InvalidClock(
-            f"effective_clock_hz must be positive, got {attacker.effective_clock_hz}"
-        )
     return attacker.key_bits**2 / attacker.effective_clock_hz + attacker.overhead_seconds
 
 
@@ -117,23 +140,33 @@ def success_probability_closed_form(scenario: AttackScenario) -> float:
     return math.exp(-t_break / mining.mean_blocktime_seconds)
 
 
-# Philox emits 4 doubles per counter increment; each trial owns one
-# counter block and uses only its first double.
-_DOUBLES_PER_BLOCK = 4
+# Philox emits 4 64-bit words per counter increment; each trial owns one
+# counter block and uses only its first word.
+_WORDS_PER_BLOCK = 4
+
+# race_win_count draws this many trials at a time, so its memory is a few
+# MB whatever the size of its range.
+_CHUNK_TRIALS = 1 << 16
 
 
-def _philox(seed: int, stream: int) -> np.random.Philox:
+def _philox(seed: int, stream: int, start: int = 0) -> np.random.Philox:
+    """Bit generator of the (seed, stream) stream, positioned at trial start."""
     entropy = seed & ((1 << 128) - 1)  # SeedSequence rejects negative ints
     key = np.random.SeedSequence((entropy, stream)).generate_state(2, np.uint64)
-    return np.random.Philox(key=key)
-
-
-def _trial_uniforms(seed: int, start: int, count: int, stream: int = 0) -> np.ndarray:
-    bitgen = _philox(seed, stream)
+    bitgen = np.random.Philox(key=key)
     if start:
         bitgen.advance(start)  # one counter block per trial
-    doubles = np.random.Generator(bitgen).random(count * _DOUBLES_PER_BLOCK)
-    return doubles[::_DOUBLES_PER_BLOCK]
+    return bitgen
+
+
+def _next_uniforms(bitgen: np.random.Philox, count: int) -> np.ndarray:
+    """Uniforms in [0, 1) of the next count trials of bitgen.
+
+    Each is numpy's Philox double, (word >> 11) * 2**-53, of the first
+    word of its trial's counter block: the value Generator.random gives.
+    """
+    words = bitgen.random_raw(count * _WORDS_PER_BLOCK)[::_WORDS_PER_BLOCK]
+    return (words >> 11) * 2.0**-53
 
 
 def _first_block_times(mining: MiningModel, uniforms: np.ndarray) -> np.ndarray:
@@ -144,19 +177,20 @@ def _first_block_times(mining: MiningModel, uniforms: np.ndarray) -> np.ndarray:
     return -b * np.log1p(-uniforms)  # inverse CDF; exactly one draw per trial
 
 
-def _attacker_wins(scenario: AttackScenario, first_block: np.ndarray) -> np.ndarray:
-    t_break = break_duration(scenario.attacker)
-    if scenario.fee_policy is FeePolicy.ATTACKER_OUTBIDS:
+def _attacker_wins(
+    fee_policy: FeePolicy, t_break: float, first_block: np.ndarray
+) -> np.ndarray:
+    if fee_policy is FeePolicy.ATTACKER_OUTBIDS:
         return t_break <= first_block
     return t_break < first_block
 
 
 def race_once(scenario: AttackScenario, seed: int) -> RaceOutcome:
     """Resolve a single race; a pure function of (scenario, seed)."""
-    uniforms = _trial_uniforms(seed, 0, 1)
+    uniforms = _next_uniforms(_philox(seed, 0), 1)
     first_block = float(_first_block_times(scenario.mining, uniforms)[0])
     t_break = break_duration(scenario.attacker)
-    wins = bool(_attacker_wins(scenario, np.asarray(first_block)))
+    wins = bool(_attacker_wins(scenario.fee_policy, t_break, np.asarray(first_block)))
     return RaceOutcome(
         winner=Winner.ATTACKER if wins else Winner.VICTIM,
         reveal_time=0.0,
@@ -171,15 +205,20 @@ def race_win_count(
     """Attacker wins over trials [start, stop) of the (seed, stream) stream.
 
     Disjoint chunks sum to the full-range count, so trial batches may run
-    concurrently and merge.
+    concurrently and merge.  The range is drawn _CHUNK_TRIALS trials at a
+    time, so memory does not grow with stop - start.
     """
     if not 0 <= start <= stop:
         raise ValueError(f"need 0 <= start <= stop, got [{start}, {stop})")
-    if start == stop:
-        return 0
-    uniforms = _trial_uniforms(seed, start, stop - start, stream)
-    first_block = _first_block_times(scenario.mining, uniforms)
-    return int(np.count_nonzero(_attacker_wins(scenario, first_block)))
+    t_break = break_duration(scenario.attacker)
+    bitgen = _philox(seed, stream, start)
+    wins = 0
+    for chunk_start in range(start, stop, _CHUNK_TRIALS):
+        uniforms = _next_uniforms(bitgen, min(_CHUNK_TRIALS, stop - chunk_start))
+        first_block = _first_block_times(scenario.mining, uniforms)
+        won = _attacker_wins(scenario.fee_policy, t_break, first_block)
+        wins += int(np.count_nonzero(won))
+    return wins
 
 
 def success_probability_monte_carlo(
@@ -200,22 +239,25 @@ def sweep(
     """Closed-form and Monte Carlo win probabilities across clock speeds.
 
     Row i uses substream i of the master seed, so rows are independent
-    and each is reproducible from (seed, row index) alone.
+    and each is reproducible from (seed, row index) alone.  Every clock
+    is validated before any trial runs.
     """
     clocks = list(clock_range)
     if not clocks:
         raise ValueError("clock_range must be non-empty")
+    row_scenarios = [
+        replace(scenario, attacker=replace(scenario.attacker, effective_clock_hz=clock_hz))
+        for clock_hz in clocks
+    ]
     rows = []
-    for index, clock_hz in enumerate(clocks):
-        attacker = replace(scenario.attacker, effective_clock_hz=clock_hz)
-        row_scenario = replace(scenario, attacker=attacker)
+    for index, (clock_hz, row_scenario) in enumerate(zip(clocks, row_scenarios)):
         estimate, std_error = success_probability_monte_carlo(
             row_scenario, n_trials, seed, stream=index
         )
         rows.append(
             {
                 "clock_hz": clock_hz,
-                "break_seconds": break_duration(attacker),
+                "break_seconds": break_duration(row_scenario.attacker),
                 "p_closed_form": success_probability_closed_form(row_scenario),
                 "p_estimate": estimate,
                 "std_error": std_error,

@@ -241,6 +241,22 @@ def test_attack_validation(capsys):
     assert run_capture(capsys, ["attack", "--overhead", "-1"])[0] == 1
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--clock-hz", "nan"],
+        ["--overhead", "nan"],
+        ["--clock-hz", "inf"],
+        ["--overhead", "inf"],
+        ["--clock-hz", "1000", "--clock-hz", "nan"],
+    ],
+)
+def test_attack_rejects_non_finite_flags(capsys, flags):
+    code, out, err = run_capture(capsys, ["attack", "--trials", "100", *flags])
+    assert code == 1 and out == ""
+    assert err.startswith("qsafe: error:")
+
+
 def test_impact_golden(capsys):
     code, out, err = run_capture(capsys, ["impact"])
     assert code == 0 and err == ""

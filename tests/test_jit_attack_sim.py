@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsafe.jit_attack_sim import (
     AttackScenario,
@@ -220,3 +222,48 @@ def test_sweep_propagates_invalid_clock():
     scenario = AttackScenario(BASELINE, Memoryless())
     with pytest.raises(InvalidClock):
         sweep(scenario, [1000.0, 0.0], n_trials=10, seed=1)
+
+
+@pytest.mark.parametrize("bad", [0.0, -600.0, math.nan, math.inf, -math.inf])
+def test_mining_models_reject_blocktime_not_finite_and_positive(bad):
+    with pytest.raises(ValueError):
+        FixedInterval(bad)
+    with pytest.raises(ValueError):
+        Memoryless(bad)
+
+
+@pytest.mark.parametrize("bad", [0.0, -5.0, math.nan, math.inf])
+def test_attacker_rejects_clock_not_finite_and_positive(bad):
+    with pytest.raises(InvalidClock):
+        QuantumAttacker(key_bits=256, effective_clock_hz=bad)
+
+
+@pytest.mark.parametrize("bad", [-0.1, math.nan, math.inf])
+def test_attacker_rejects_overhead_not_finite_and_non_negative(bad):
+    with pytest.raises(ValueError):
+        QuantumAttacker(key_bits=256, overhead_seconds=bad)
+
+
+def test_sweep_validates_every_clock_before_drawing(monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("trials drawn before every clock was checked")
+
+    monkeypatch.setattr("qsafe.jit_attack_sim.success_probability_monte_carlo", no_draws)
+    with pytest.raises(InvalidClock):
+        sweep(AttackScenario(BASELINE, Memoryless()), [1000.0, math.nan], n_trials=10, seed=1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    key_bits=st.integers(0, 4096),
+    clock_hz=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    overhead=st.floats(min_value=0.0, allow_infinity=False),
+    blocktime=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    memoryless=st.booleans(),
+)
+def test_closed_form_is_a_probability_for_every_accepted_input(
+    key_bits, clock_hz, overhead, blocktime, memoryless
+):
+    attacker = QuantumAttacker(key_bits, effective_clock_hz=clock_hz, overhead_seconds=overhead)
+    mining = Memoryless(blocktime) if memoryless else FixedInterval(blocktime)
+    assert 0.0 <= success_probability_closed_form(AttackScenario(attacker, mining)) <= 1.0
