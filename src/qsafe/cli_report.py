@@ -189,23 +189,19 @@ class _Parser(argparse.ArgumentParser):
 
 # argparse replaces ValueError messages from type= callbacks with a
 # generic one; ArgumentTypeError text survives verbatim.
-def _parse_bandwidth(text: str) -> Fraction:
+def _parse_fraction(text: str, field: str) -> Fraction:
+    """The exact value of a decimal or p/q literal; nan, inf and 1/0 are
+    not numbers."""
     try:
-        value = Fraction(text)
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"bandwidth: not a number: {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"{field}: not a number: {text!r}") from exc
+
+
+def _parse_bandwidth(text: str) -> Fraction:
+    value = _parse_fraction(text, "bandwidth")
     if not 0 < value <= 1:
         raise argparse.ArgumentTypeError(f"bandwidth must be in (0, 1], got {text}")
-    return value
-
-
-def _parse_fraction_01(text: str, field: str) -> float:
-    try:
-        value = float(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"{field}: not a number: {text!r}") from exc
-    if not 0 <= value <= 1:
-        raise argparse.ArgumentTypeError(f"{field} must be in [0, 1], got {text}")
     return value
 
 
@@ -214,29 +210,25 @@ def load_snapshot(path: str | None) -> UtxoSnapshot:
 
     Expected shape: an object with integer ``total_utxos`` (required),
     optional ``schnorr_fraction`` in [0, 1], optional ``as_of`` string.
+    Decimal literals are read as exact fractions, so ``0.3`` is 3/10.
+    ``UtxoSnapshot`` checks the values.
     """
     if path is None:
         return DEFAULT_SNAPSHOT
     with open(path, encoding="utf-8") as handle:
         try:
-            payload = json.load(handle)
+            payload = json.load(handle, parse_float=Fraction)
         except json.JSONDecodeError as exc:
             raise ParseError(f"snapshot {path}: invalid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ParseError(f"snapshot {path}: expected a JSON object")
     if "total_utxos" not in payload:
         raise ParseError(f"snapshot {path}: missing required field total_utxos")
-    total = payload["total_utxos"]
-    if isinstance(total, bool) or not isinstance(total, int):
-        raise ParseError(f"snapshot {path}: total_utxos must be an integer")
-    fraction = payload.get("schnorr_fraction", 0.0)
-    if isinstance(fraction, bool) or not isinstance(fraction, (int, float)):
-        raise ParseError(f"snapshot {path}: schnorr_fraction must be a number")
     try:
         return UtxoSnapshot(
             as_of=str(payload.get("as_of", "unspecified")),
-            total=total,
-            schnorr_fraction=float(fraction),
+            total=payload["total_utxos"],
+            schnorr_fraction=payload.get("schnorr_fraction", 0),
         )
     except ValueError as exc:
         raise ValidationError(f"snapshot {path}: {exc}") from exc
@@ -347,7 +339,7 @@ def _cmd_plan(args):
     rows = bandwidth_table(snapshot, bandwidths, params)
     columns = ["bandwidth", "ecdsa_hours", "ecdsa_days", "schnorr_hours", "schnorr_days"]
     round_to = {col: 2 for col in columns[1:]}
-    if Fraction(snapshot.schnorr_fraction) > 0:
+    if snapshot.schnorr_fraction > 0:
         # A mixed pool interpolates the two pure bounds.
         for row, bandwidth in zip(rows, bandwidths):
             hours = mixed_duration(snapshot, bandwidth, params)
@@ -460,8 +452,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="block share in (0, 1]; repeatable (default: 1/4 1/2 3/4 1)",
     )
     p_plan.add_argument(
-        "--schnorr-fraction", type=lambda s: _parse_fraction_01(s, "schnorr-fraction"),
-        metavar="F", help="override the snapshot's key-aggregable share",
+        "--schnorr-fraction", type=lambda s: _parse_fraction(s, "schnorr-fraction"),
+        metavar="F", help="override the snapshot's key-aggregable share in [0, 1]",
     )
     p_plan.add_argument(
         "--schedule", choices=["k", "fraction"],

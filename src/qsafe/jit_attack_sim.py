@@ -22,13 +22,20 @@ merged by summing win counts, bit-identical to a single serial run.
 bit generator in chunks of ``_CHUNK_TRIALS`` trials, so its memory is
 bounded by the chunk whatever the trial count, and its counts equal
 those of drawing the whole range at once.
+
+numpy is imported by the functions that draw, not by this module, so
+importing qsafe and running its exact subcommands never loads it.
 """
+
+from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class InvalidClock(ValueError):
@@ -151,6 +158,8 @@ _CHUNK_TRIALS = 1 << 16
 
 def _philox(seed: int, stream: int, start: int = 0) -> np.random.Philox:
     """Bit generator of the (seed, stream) stream, positioned at trial start."""
+    import numpy as np
+
     entropy = seed & ((1 << 128) - 1)  # SeedSequence rejects negative ints
     key = np.random.SeedSequence((entropy, stream)).generate_state(2, np.uint64)
     bitgen = np.random.Philox(key=key)
@@ -170,6 +179,8 @@ def _next_uniforms(bitgen: np.random.Philox, count: int) -> np.ndarray:
 
 
 def _first_block_times(mining: MiningModel, uniforms: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     if isinstance(mining, FixedInterval):
         b = mining.blocktime_seconds
         return b - uniforms * b  # uniform broadcast offset in [0, B)
@@ -178,8 +189,8 @@ def _first_block_times(mining: MiningModel, uniforms: np.ndarray) -> np.ndarray:
 
 
 def _attacker_wins(
-    fee_policy: FeePolicy, t_break: float, first_block: np.ndarray
-) -> np.ndarray:
+    fee_policy: FeePolicy, t_break: float, first_block: float | np.ndarray
+) -> bool | np.ndarray:
     if fee_policy is FeePolicy.ATTACKER_OUTBIDS:
         return t_break <= first_block
     return t_break < first_block
@@ -190,7 +201,7 @@ def race_once(scenario: AttackScenario, seed: int) -> RaceOutcome:
     uniforms = _next_uniforms(_philox(seed, 0), 1)
     first_block = float(_first_block_times(scenario.mining, uniforms)[0])
     t_break = break_duration(scenario.attacker)
-    wins = bool(_attacker_wins(scenario.fee_policy, t_break, np.asarray(first_block)))
+    wins = _attacker_wins(scenario.fee_policy, t_break, first_block)
     return RaceOutcome(
         winner=Winner.ATTACKER if wins else Winner.VICTIM,
         reveal_time=0.0,
@@ -208,6 +219,8 @@ def race_win_count(
     concurrently and merge.  The range is drawn _CHUNK_TRIALS trials at a
     time, so memory does not grow with stop - start.
     """
+    import numpy as np
+
     if not 0 <= start <= stop:
         raise ValueError(f"need 0 <= start <= stop, got [{start}, {stop})")
     t_break = break_duration(scenario.attacker)
@@ -218,6 +231,10 @@ def race_win_count(
         first_block = _first_block_times(scenario.mining, uniforms)
         won = _attacker_wins(scenario.fee_policy, t_break, first_block)
         wins += int(np.count_nonzero(won))
+        # Free this chunk's arrays before the next draw.  Kept alive, they
+        # can push the free top of the heap past malloc's trim threshold,
+        # and the pages it gives back are then faulted in again each chunk.
+        del uniforms, first_block, won
     return wins
 
 

@@ -9,6 +9,7 @@ transactions, so halving the bandwidth exactly doubles every bound.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Real
 
 from .block_packer import (
     InfeasibleBlock,
@@ -27,18 +28,28 @@ class InvalidBandwidth(ValueError):
 
 @dataclass(frozen=True)
 class UtxoSnapshot:
-    """Size and signature-scheme mix of the UTXO set at a dated point."""
+    """Size and signature-scheme mix of the UTXO set at a dated point.
+
+    Every check raises ``ValueError``, so a bad value read from a file or
+    a flag is reported as bad input rather than as a crash.
+    """
 
     as_of: str
     total: int
     schnorr_fraction: float | Fraction = 0.0
 
     def __post_init__(self) -> None:
-        if self.total < 0:
-            raise ValueError(f"total must be >= 0, got {self.total}")
-        if not 0 <= self.schnorr_fraction <= 1:
+        total, fraction = self.total, self.schnorr_fraction
+        if isinstance(total, bool) or not isinstance(total, int):
+            raise ValueError(f"total must be an integer, got {total!r}")
+        if total < 0:
+            raise ValueError(f"total must be >= 0, got {total}")
+        # NaN fails the range test too.
+        if isinstance(fraction, bool) or not (
+            isinstance(fraction, Real) and 0 <= fraction <= 1
+        ):
             raise ValueError(
-                f"schnorr_fraction must be in [0, 1], got {self.schnorr_fraction}"
+                f"schnorr_fraction must be a real number in [0, 1], got {fraction}"
             )
 
 

@@ -4,11 +4,19 @@ import json
 import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from qsafe.cli_report import DEFAULT_SEED, load_snapshot, run
-from qsafe.migration_planner import DEFAULT_SNAPSHOT
+from qsafe.block_packer import UpgradeScheme
+from qsafe.cli_report import (
+    DEFAULT_BANDWIDTHS,
+    DEFAULT_SEED,
+    build_parser,
+    load_snapshot,
+    run,
+)
+from qsafe.migration_planner import DEFAULT_SNAPSHOT, lower_bound_duration
 
 
 def run_capture(capsys, argv):
@@ -64,6 +72,34 @@ def test_plan_mixed_columns_appear_with_schnorr_fraction(capsys):
         "mixed_hours", "mixed_days",
     ]
     assert rows[0]["mixed_hours"] == "1671.82"
+
+
+# At f = 0.41 the binary double of the flag moves the 1/4-share cells in
+# their last bit; 0.3 is the paper's example.
+@pytest.mark.parametrize("text", ["0.3", "0.41"])
+def test_plan_mixed_columns_use_the_exact_schnorr_fraction(capsys, text):
+    f = Fraction(text)
+    argv = ["plan", "--schnorr-fraction", text]
+    assert build_parser().parse_args(argv).schnorr_fraction == f
+    code, out, _ = run_capture(capsys, argv + ["--format", "json"])
+    assert code == 0
+    rows = json.loads(out)
+    assert len(rows) == len(DEFAULT_BANDWIDTHS)
+    for row, bandwidth in zip(rows, DEFAULT_BANDWIDTHS):
+        ecdsa, schnorr = (
+            lower_bound_duration(DEFAULT_SNAPSHOT, scheme, bandwidth)
+            for scheme in (UpgradeScheme.ECDSA_SEGWIT, UpgradeScheme.SCHNORR_TAPROOT)
+        )
+        hours = (1 - f) * ecdsa + f * schnorr
+        assert row["mixed_hours"] == float(hours)
+        assert row["mixed_days"] == float(hours / 24)
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1/0", "1.5", "-0.1", "abc"])
+def test_plan_rejects_schnorr_fraction_outside_unit_interval(capsys, text):
+    code, out, err = run_capture(capsys, ["plan", "--schnorr-fraction", text])
+    assert code == 1 and out == ""
+    assert "schnorr" in err
 
 
 def test_plan_without_fraction_has_no_mixed_columns(capsys):
@@ -159,6 +195,34 @@ def test_snapshot_validation_errors(tmp_path, capsys):
     not_object = tmp_path / "list.json"
     not_object.write_text("[1, 2]", encoding="utf-8")
     assert run_capture(capsys, ["plan", "--snapshot", str(not_object)])[0] == 1
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        '{"total_utxos": 10.5}',
+        '{"total_utxos": true}',
+        '{"total_utxos": "10"}',
+        '{"total_utxos": 10, "schnorr_fraction": NaN}',
+        '{"total_utxos": 10, "schnorr_fraction": Infinity}',
+        '{"total_utxos": 10, "schnorr_fraction": true}',
+        '{"total_utxos": 10, "schnorr_fraction": "0.3"}',
+        '{"total_utxos": 10, "schnorr_fraction": null}',
+        '{"total_utxos": 10, "schnorr_fraction": 1.5}',
+    ],
+)
+def test_snapshot_bad_values_exit_one(tmp_path, capsys, body):
+    path = tmp_path / "snap.json"
+    path.write_text(body, encoding="utf-8")
+    code, out, err = run_capture(capsys, ["plan", "--snapshot", str(path)])
+    assert code == 1 and out == ""
+    assert err.startswith(f"qsafe: error: snapshot {path}: ")
+
+
+def test_load_snapshot_reads_schnorr_fraction_exactly(tmp_path):
+    path = tmp_path / "snap.json"
+    path.write_text('{"total_utxos": 10, "schnorr_fraction": 0.3}', encoding="utf-8")
+    assert load_snapshot(str(path)).schnorr_fraction == Fraction(3, 10)
 
 
 def test_load_snapshot_defaults():

@@ -1,6 +1,8 @@
 """The Philox trial stream behind race_win_count, pinned to its first
 definition, and the chunked draw's merge identity and memory bound."""
 
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -114,3 +116,30 @@ def test_win_count_memory_is_bounded_by_the_chunk(mining):
         tracemalloc.stop()
     # a whole-range draw of 2**22 trials peaks near 192 MB
     assert peak < 8 * 2**20
+
+
+# Minor page faults over repeated draws in a fresh interpreter, per chunk.
+FAULT_PROBE = """
+import resource
+from qsafe.jit_attack_sim import (
+    _CHUNK_TRIALS, AttackScenario, Memoryless, QuantumAttacker, race_win_count,
+)
+scenario = AttackScenario(QuantumAttacker(256), Memoryless())
+race_win_count(scenario, 1, 0, 1 << 22)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for seed in range(4):
+    race_win_count(scenario, seed, 0, 1 << 22)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+print((after - before) / (4 * (1 << 22) // _CHUNK_TRIALS))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="glibc heap trimming")
+def test_win_count_reuses_its_pages_from_chunk_to_chunk():
+    # A chunk allocates about 3 MB.  If its arrays outlive the next draw,
+    # malloc can trim the heap and fault the pages in again every chunk:
+    # 30 to 140 pages a chunk, depending on when numpy was imported.
+    result = subprocess.run(
+        [sys.executable, "-c", FAULT_PROBE], capture_output=True, text=True, check=True
+    )
+    assert float(result.stdout) < 16

@@ -33,6 +33,31 @@ def test_snapshot_validation():
         UtxoSnapshot("now", 10, schnorr_fraction=1.5)
 
 
+@pytest.mark.parametrize(
+    "total, fraction",
+    [
+        (10.5, 0),
+        (True, 0),
+        ("10", 0),
+        (10, float("nan")),
+        (10, float("inf")),
+        (10, True),
+        (10, "0.3"),
+        (10, None),
+        (10, -Fraction(1, 10)),
+    ],
+)
+def test_snapshot_rejects_bad_types_with_value_error(total, fraction):
+    # ValueError, never TypeError: the CLI reports ValueError as bad input.
+    with pytest.raises(ValueError):
+        UtxoSnapshot("now", total, schnorr_fraction=fraction)
+
+
+def test_snapshot_accepts_exact_and_float_fractions():
+    assert UtxoSnapshot("now", 10, Fraction(3, 10)).schnorr_fraction == Fraction(3, 10)
+    assert UtxoSnapshot("now", 0, 1.0).schnorr_fraction == 1
+
+
 def test_full_bandwidth_bounds_are_exact():
     hours_e = lower_bound_duration(DEFAULT_SNAPSHOT, ECDSA, 1)
     hours_s = lower_bound_duration(DEFAULT_SNAPSHOT, SCHNORR, 1)
