@@ -198,13 +198,6 @@ def _parse_fraction(text: str, field: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"{field}: not a number: {text!r}") from exc
 
 
-def _parse_bandwidth(text: str) -> Fraction:
-    value = _parse_fraction(text, "bandwidth")
-    if not 0 < value <= 1:
-        raise argparse.ArgumentTypeError(f"bandwidth must be in (0, 1], got {text}")
-    return value
-
-
 def load_snapshot(path: str | None) -> UtxoSnapshot:
     """Read a UTXO snapshot from a JSON file, or return the built-in one.
 
@@ -448,7 +441,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_plan.add_argument("--snapshot", metavar="PATH", help="UTXO snapshot JSON file")
     p_plan.add_argument(
-        "--bandwidth", action="append", type=_parse_bandwidth, metavar="FRACTION",
+        "--bandwidth", action="append", type=lambda s: _parse_fraction(s, "bandwidth"),
+        metavar="FRACTION",
         help="block share in (0, 1]; repeatable (default: 1/4 1/2 3/4 1)",
     )
     p_plan.add_argument(

@@ -18,10 +18,13 @@ first 64-bit word of that block, turned into a double in [0, 1) exactly
 as numpy's ``Generator.random`` does (top 53 bits times 2**-53).  Any
 contiguous range of trials can therefore be generated independently and
 merged by summing win counts, bit-identical to a single serial run.
-``race_win_count`` uses this itself: it streams its range through one
-bit generator in chunks of ``_CHUNK_TRIALS`` trials, so its memory is
-bounded by the chunk whatever the trial count, and its counts equal
-those of drawing the whole range at once.
+``race_win_count`` uses this itself: it draws its range in steps, with
+one worker thread per usable CPU taking the next step as soon as it is
+free, each through its own bit generator advanced to that step.  Counts
+are the same whatever the CPU count and whichever worker draws a step,
+and equal those of drawing the whole range at once.  At most
+``_CHUNK_TRIALS`` trials are in flight across all workers, so memory is
+bounded whatever the trial count and the CPU count.
 
 numpy is imported by the functions that draw, not by this module, so
 importing qsafe and running its exact subcommands never loads it.
@@ -30,11 +33,15 @@ importing qsafe and running its exact subcommands never loads it.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
+    from collections.abc import Callable
+
     import numpy as np
 
 
@@ -151,9 +158,13 @@ def success_probability_closed_form(scenario: AttackScenario) -> float:
 # counter block and uses only its first word.
 _WORDS_PER_BLOCK = 4
 
-# race_win_count draws this many trials at a time, so its memory is a few
-# MB whatever the size of its range.
+# race_win_count has at most this many trials in flight across its
+# workers, so its memory is a few MB whatever the size of its range.
 _CHUNK_TRIALS = 1 << 16
+
+# Fewest trials a worker draws per step; this caps the worker count at
+# _CHUNK_TRIALS // _MIN_STEP_TRIALS.
+_MIN_STEP_TRIALS = 1 << 13
 
 
 def _philox(seed: int, stream: int, start: int = 0) -> np.random.Philox:
@@ -174,18 +185,28 @@ def _next_uniforms(bitgen: np.random.Philox, count: int) -> np.ndarray:
     Each is numpy's Philox double, (word >> 11) * 2**-53, of the first
     word of its trial's counter block: the value Generator.random gives.
     """
-    words = bitgen.random_raw(count * _WORDS_PER_BLOCK)[::_WORDS_PER_BLOCK]
-    return (words >> 11) * 2.0**-53
+    import numpy as np
+
+    # The shift copies the first words out, so the 4-word draw is freed
+    # before the conversion, which then reuses the shifted words' memory.
+    words = bitgen.random_raw(count * _WORDS_PER_BLOCK)[::_WORDS_PER_BLOCK] >> 11
+    return np.multiply(words, 2.0**-53, out=words.view(np.float64))
 
 
 def _first_block_times(mining: MiningModel, uniforms: np.ndarray) -> np.ndarray:
+    """First-block times of the trials, computed in place over uniforms."""
     import numpy as np
 
     if isinstance(mining, FixedInterval):
         b = mining.blocktime_seconds
-        return b - uniforms * b  # uniform broadcast offset in [0, B)
+        # b - uniforms * b: uniform broadcast offset in [0, B)
+        np.multiply(uniforms, b, out=uniforms)
+        return np.subtract(b, uniforms, out=uniforms)
     b = mining.mean_blocktime_seconds
-    return -b * np.log1p(-uniforms)  # inverse CDF; exactly one draw per trial
+    # -b * log1p(-uniforms): inverse CDF; exactly one draw per trial
+    np.negative(uniforms, out=uniforms)
+    np.log1p(uniforms, out=uniforms)
+    return np.multiply(-b, uniforms, out=uniforms)
 
 
 def _attacker_wins(
@@ -210,32 +231,109 @@ def race_once(scenario: AttackScenario, seed: int) -> RaceOutcome:
     )
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _workers(start: int, stop: int) -> tuple[int, int]:
+    """Worker count and trials per step for the range [start, stop).
+
+    One worker per usable CPU, but no more than the range has steps and
+    no more than keeps a step at _MIN_STEP_TRIALS.
+    """
+    workers = min(_usable_cpus(), _CHUNK_TRIALS // _MIN_STEP_TRIALS)
+    # Each of w workers needs a step of its own: the range must hold more
+    # than w - 1 steps of _CHUNK_TRIALS // w trials.
+    while workers > 1 and stop - start <= (workers - 1) * (_CHUNK_TRIALS // workers):
+        workers -= 1
+    return workers, _CHUNK_TRIALS // workers
+
+
+def _worker_wins(
+    scenario: AttackScenario, t_break: float, seed: int, stream: int,
+    next_step: Callable[[], int | None], stop: int, step: int,
+) -> int:
+    """Attacker wins over the steps next_step hands this worker.
+
+    Steps come in increasing order, so one bit generator, advanced past
+    the steps other workers took, serves them all.
+    """
+    import numpy as np
+
+    bitgen, position, wins = None, 0, 0
+    for step_start in iter(next_step, None):
+        if bitgen is None:
+            bitgen = _philox(seed, stream, step_start)
+        elif step_start != position:
+            bitgen.advance(step_start - position)
+        count = min(step, stop - step_start)
+        first_block = _first_block_times(scenario.mining, _next_uniforms(bitgen, count))
+        won = _attacker_wins(scenario.fee_policy, t_break, first_block)
+        wins += int(np.count_nonzero(won))
+        position = step_start + count
+        # Free this step's arrays before the next draw.  Kept alive, they
+        # can push the free top of the heap past malloc's trim threshold,
+        # and the pages it gives back are then faulted in again each step.
+        del first_block, won
+    return wins
+
+
 def race_win_count(
     scenario: AttackScenario, seed: int, start: int, stop: int, *, stream: int = 0
 ) -> int:
     """Attacker wins over trials [start, stop) of the (seed, stream) stream.
 
     Disjoint chunks sum to the full-range count, so trial batches may run
-    concurrently and merge.  The range is drawn _CHUNK_TRIALS trials at a
-    time, so memory does not grow with stop - start.
+    concurrently and merge.  The range is drawn in steps by one worker
+    per usable CPU, the caller and a thread for each other one, and each
+    worker takes the next step as soon as it is free, so a slow CPU
+    holds up no one.  At most _CHUNK_TRIALS trials are in flight at a
+    time, so memory does not grow with stop - start.  After an error in
+    any step no worker takes another, and the error is raised here once
+    every thread has finished.
     """
-    import numpy as np
-
     if not 0 <= start <= stop:
         raise ValueError(f"need 0 <= start <= stop, got [{start}, {stop})")
+    # Workers call private helpers only, so wrappers around the public
+    # functions see one call per race_win_count, from this thread.
     t_break = break_duration(scenario.attacker)
-    bitgen = _philox(seed, stream, start)
-    wins = 0
-    for chunk_start in range(start, stop, _CHUNK_TRIALS):
-        uniforms = _next_uniforms(bitgen, min(_CHUNK_TRIALS, stop - chunk_start))
-        first_block = _first_block_times(scenario.mining, uniforms)
-        won = _attacker_wins(scenario.fee_policy, t_break, first_block)
-        wins += int(np.count_nonzero(won))
-        # Free this chunk's arrays before the next draw.  Kept alive, they
-        # can push the free top of the heap past malloc's trim threshold,
-        # and the pages it gives back are then faulted in again each chunk.
-        del uniforms, first_block, won
-    return wins
+    workers, step = _workers(start, stop)
+    starts = iter(range(start, stop, step))
+    lock = threading.Lock()
+    failed = False
+    results: list[int | BaseException] = [0] * workers
+
+    def next_step() -> int | None:
+        with lock:
+            return None if failed else next(starts, None)
+
+    def draw(index: int) -> None:
+        nonlocal failed
+        try:
+            results[index] = _worker_wins(
+                scenario, t_break, seed, stream, next_step, stop, step
+            )
+        except BaseException as exc:  # raised below, once every worker is done
+            failed = True
+            results[index] = exc
+
+    threads = []
+    try:
+        for index in range(1, workers):
+            thread = threading.Thread(target=draw, args=(index,), daemon=True)
+            thread.start()
+            threads.append(thread)
+        draw(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    for result in results:
+        if isinstance(result, BaseException):
+            raise result
+    return sum(results)
 
 
 def success_probability_monte_carlo(

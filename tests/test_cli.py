@@ -8,10 +8,12 @@ from fractions import Fraction
 
 import pytest
 
+from qsafe import jit_attack_sim
 from qsafe.block_packer import UpgradeScheme
 from qsafe.cli_report import (
     DEFAULT_BANDWIDTHS,
     DEFAULT_SEED,
+    DEFAULT_TRIALS,
     build_parser,
     load_snapshot,
     run,
@@ -157,6 +159,21 @@ def test_plan_bandwidth_out_of_range(capsys):
     assert "bandwidth" in err
 
 
+@pytest.mark.parametrize("text", ["0", "3/2", "-1/2"])
+@pytest.mark.parametrize("schedule", [[], ["--schedule", "fraction"]], ids=["table", "fraction"])
+def test_plan_rejects_bandwidth_outside_unit_interval(capsys, schedule, text):
+    code, out, err = run_capture(capsys, ["plan", *schedule, f"--bandwidth={text}"])
+    assert code == 1 and out == ""
+    assert f"bandwidth must be in (0, 1], got {text}" in err
+
+
+@pytest.mark.parametrize("text", ["0", "3/2", "-1/2"])
+def test_plan_schedule_k_rejects_bandwidth_as_not_a_unit_fraction(capsys, text):
+    code, out, err = run_capture(capsys, ["plan", "--schedule", "k", f"--bandwidth={text}"])
+    assert code == 1 and out == ""
+    assert f"bandwidth: every-kth scheduling needs a unit fraction (1/k), got {text}" in err
+
+
 def test_snapshot_file_round_trip(tmp_path, capsys):
     path = tmp_path / "snap.json"
     path.write_text(
@@ -274,6 +291,22 @@ def test_attack_repeat_runs_are_identical(capsys):
     _, first, _ = run_capture(capsys, argv)
     _, second, _ = run_capture(capsys, argv)
     assert first == second
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "md"])
+@pytest.mark.parametrize("mining", ["fixed", "memoryless"])
+def test_attack_output_is_identical_at_one_and_two_workers(monkeypatch, capsys, fmt, mining):
+    # 100_000 trials a row is enough for two workers to share each row.
+    argv = ["attack", "--mining", mining, "--clock-hz", "1000", "--clock-hz", "300",
+            "--seed", "5", "--format", fmt]
+    outputs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(jit_attack_sim, "_usable_cpus", lambda: cpus)
+        assert jit_attack_sim._workers(0, DEFAULT_TRIALS)[0] == cpus
+        code, out, _ = run_capture(capsys, argv)
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
 
 
 def test_attack_seed_flag_changes_estimate(capsys):

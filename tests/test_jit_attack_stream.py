@@ -1,24 +1,31 @@
 """The Philox trial stream behind race_win_count, pinned to its first
-definition, and the chunked draw's merge identity and memory bound."""
+definition, the chunked draw's merge identity and memory bound, and its
+independence from the number of worker threads."""
 
 import subprocess
 import sys
+import threading
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qsafe import jit_attack_sim
 from qsafe.jit_attack_sim import (
     _CHUNK_TRIALS,
+    _MIN_STEP_TRIALS,
     AttackScenario,
+    FeePolicy,
     FixedInterval,
     Memoryless,
     QuantumAttacker,
     Winner,
     _next_uniforms,
     _philox,
+    _workers,
     race_once,
     race_win_count,
 )
@@ -105,41 +112,176 @@ def test_chunk_counts_merge_to_whole_range(cuts, mining, seed, stream):
     assert pieces == whole
 
 
-@pytest.mark.parametrize("mining", [FixedInterval(), Memoryless()], ids=["fixed", "memoryless"])
-def test_win_count_memory_is_bounded_by_the_chunk(mining):
+def usable_cpus(count):
+    """Make race_win_count see count usable CPUs."""
+    return mock.patch.object(jit_attack_sim, "_usable_cpus", return_value=count)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    cpus=st.integers(1, 20),
+    start=st.integers(0, 2**40),
+    length=st.one_of(
+        st.integers(0, 20 * CHUNK),
+        st.sampled_from([_MIN_STEP_TRIALS - 1, _MIN_STEP_TRIALS, CHUNK // 2, CHUNK // 2 + 1]),
+    ),
+)
+def test_workers_fit_the_cpus_and_the_range(cpus, start, length):
+    with usable_cpus(cpus):
+        workers, step = _workers(start, start + length)
+    assert 1 <= workers <= min(cpus, CHUNK // _MIN_STEP_TRIALS)
+    assert step == CHUNK // workers >= _MIN_STEP_TRIALS
+    assert workers == 1 or workers <= -(-length // step)  # never more workers than steps
+
+
+def with_lengths(workers):
+    """(workers, range length): lengths shorter than one step, ending on a
+    step boundary or on one where every worker has had as many steps, or
+    crossing one by a trial, and arbitrary ones."""
+    step = CHUNK // workers
+    boundaries = [k * step + d for k in (1, 2, workers - 1, workers, 2 * workers + 1)
+                  for d in (-1, 0, 1)]
+    lengths = st.one_of(st.sampled_from([1, step - 1, *boundaries]), st.integers(0, 4 * CHUNK))
+    return st.tuples(st.just(workers), lengths)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    workers_length=st.sampled_from([2, 3, 5]).flatmap(with_lengths),
+    mining=st.sampled_from([FixedInterval(), Memoryless()]),
+    fee_policy=st.sampled_from(list(FeePolicy)),
+    seed=st.integers(-(2**130), 2**130),
+    stream=st.integers(0, 3),
+    start=st.one_of(st.integers(0, 3 * CHUNK), st.sampled_from([CHUNK - 1, CHUNK])),
+)
+@example(workers_length=(2, CHUNK), mining=Memoryless(),
+         fee_policy=FeePolicy.ATTACKER_OUTBIDS, seed=42, stream=0, start=0)
+@example(workers_length=(3, 3 * (CHUNK // 3) + 1), mining=FixedInterval(),
+         fee_policy=FeePolicy.VICTIM_WINS_TIES, seed=-7, stream=3, start=CHUNK - 1)
+@example(workers_length=(5, CHUNK // 5 - 1), mining=FixedInterval(),
+         fee_policy=FeePolicy.ATTACKER_OUTBIDS, seed=1, stream=1, start=70_000)
+def test_win_counts_do_not_depend_on_the_worker_count(
+    workers_length, mining, fee_policy, seed, stream, start
+):
+    workers, length = workers_length
+    scenario = AttackScenario(BASELINE, mining, fee_policy)
+    with usable_cpus(1):
+        expected = race_win_count(scenario, seed, start, start + length, stream=stream)
+    with usable_cpus(workers):
+        assert race_win_count(scenario, seed, start, start + length, stream=stream) == expected
+
+
+class GatedBitGen:
+    """A worker's bit generator: its first draw waits until every worker
+    has taken a step, so each draws at least one, then fails if fail()."""
+
+    def __init__(self, bitgen, gate, fail):
+        self.bitgen, self.gate, self.fail = bitgen, gate, fail
+
+    def advance(self, delta):
+        self.bitgen.advance(delta)
+
+    def random_raw(self, size):
+        gate, self.gate = self.gate, None
+        if gate is not None:
+            gate.wait()
+            if self.fail():
+                raise RuntimeError("draw failed")
+        return self.bitgen.random_raw(size)
+
+
+@pytest.mark.parametrize("failing", ["caller", "worker"])
+def test_worker_error_reaches_the_caller(monkeypatch, failing):
+    scenario = AttackScenario(BASELINE, Memoryless())
+    stop = 9 * CHUNK
+    monkeypatch.setattr(jit_attack_sim, "_usable_cpus", lambda: 3)
+    assert _workers(0, stop)[0] == 3
+    gate = threading.Barrier(3, timeout=30)
+    failed = []
+    lock = threading.Lock()
+
+    def fail():
+        # the caller, or the first of the worker threads
+        in_caller = threading.current_thread() is threading.main_thread()
+        with lock:
+            if in_caller == (failing == "caller") and not failed:
+                failed.append(threading.current_thread())
+                return True
+        return False
+
+    def philox(seed, stream, start=0):
+        return GatedBitGen(_philox(seed, stream, start), gate, fail)
+
+    monkeypatch.setattr(jit_attack_sim, "_philox", philox)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="draw failed"):
+        race_win_count(scenario, 1, 0, stop)
+    assert len(failed) == 1
+    assert threading.active_count() == before
+
+
+def win_count_peak(mining):
+    """tracemalloc peak of one race_win_count over 2**22 trials."""
     scenario = AttackScenario(BASELINE, mining)
     tracemalloc.start()
     try:
         race_win_count(scenario, seed=1, start=0, stop=1 << 22)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # a whole-range draw of 2**22 trials peaks near 192 MB
-    assert peak < 8 * 2**20
 
 
-# Minor page faults over repeated draws in a fresh interpreter, per chunk.
+@pytest.mark.parametrize("mining", [FixedInterval(), Memoryless()], ids=["fixed", "memoryless"])
+def test_win_count_memory_is_bounded_by_the_chunk(mining):
+    # At the machine's own worker count.  A whole-range draw of 2**22
+    # trials peaks near 192 MB.
+    assert win_count_peak(mining) < 8 * 2**20
+
+
+@pytest.mark.parametrize("mining", [FixedInterval(), Memoryless()], ids=["fixed", "memoryless"])
+def test_win_count_memory_does_not_grow_with_the_worker_count(monkeypatch, mining):
+    most_workers = CHUNK // _MIN_STEP_TRIALS
+    monkeypatch.setattr(jit_attack_sim, "_usable_cpus", lambda: most_workers)
+    assert _workers(0, 1 << 22)[0] == most_workers
+    assert win_count_peak(mining) < 8 * 2**20
+
+
+# Minor page faults over repeated draws in a fresh interpreter, per step
+# drawn.  An argument sets the number of usable CPUs.
 FAULT_PROBE = """
 import resource
-from qsafe.jit_attack_sim import (
-    _CHUNK_TRIALS, AttackScenario, Memoryless, QuantumAttacker, race_win_count,
-)
+import sys
+from qsafe import jit_attack_sim
+from qsafe.jit_attack_sim import AttackScenario, Memoryless, QuantumAttacker, race_win_count
+if len(sys.argv) > 1:
+    jit_attack_sim._usable_cpus = lambda: int(sys.argv[1])
 scenario = AttackScenario(QuantumAttacker(256), Memoryless())
 race_win_count(scenario, 1, 0, 1 << 22)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 for seed in range(4):
     race_win_count(scenario, seed, 0, 1 << 22)
 after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-print((after - before) / (4 * (1 << 22) // _CHUNK_TRIALS))
+workers, step = jit_attack_sim._workers(0, 1 << 22)
+steps = -(-(1 << 22) // step)
+print((after - before) / (4 * steps))
 """
 
 
+def faults_per_step(*argv):
+    result = subprocess.run(
+        [sys.executable, "-c", FAULT_PROBE, *argv], capture_output=True, text=True, check=True
+    )
+    return float(result.stdout)
+
+
+# A step allocates up to about 3 MB.  If its arrays outlive the next draw,
+# malloc can trim the heap and fault the pages in again every step: 30 to
+# 140 pages a step, depending on when numpy was imported.
 @pytest.mark.skipif(sys.platform != "linux", reason="glibc heap trimming")
 def test_win_count_reuses_its_pages_from_chunk_to_chunk():
-    # A chunk allocates about 3 MB.  If its arrays outlive the next draw,
-    # malloc can trim the heap and fault the pages in again every chunk:
-    # 30 to 140 pages a chunk, depending on when numpy was imported.
-    result = subprocess.run(
-        [sys.executable, "-c", FAULT_PROBE], capture_output=True, text=True, check=True
-    )
-    assert float(result.stdout) < 16
+    assert faults_per_step() < 16  # at the machine's own worker count
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="glibc heap trimming")
+def test_win_count_reuses_its_pages_at_two_workers():
+    assert faults_per_step("2") < 16
