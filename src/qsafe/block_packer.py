@@ -100,15 +100,3 @@ def blocks_required(
         return 0
     return (n_utxos + capacity - 1) // capacity
 
-
-def pack_stream(n_pending: int, capacity_share: int) -> tuple[int, int]:
-    """Pack as much of a backlog as one block's share allows.
-
-    Returns ``(packed, remaining)`` with ``packed + remaining == n_pending``.
-    """
-    if n_pending < 0:
-        raise ValueError(f"n_pending must be >= 0, got {n_pending}")
-    if capacity_share < 0:
-        raise ValueError(f"capacity_share must be >= 0, got {capacity_share}")
-    packed = min(n_pending, capacity_share)
-    return packed, n_pending - packed

@@ -275,8 +275,7 @@ def _cmd_capacity(args):
             ),
         }
     )
-    columns = ["strategy", "per_input_wu", "overhead_wu", "utxos_per_block"]
-    return rows, columns, None
+    return rows, None
 
 
 def _schedule_rows(snapshot, bandwidths, style_name, params):
@@ -305,16 +304,7 @@ def _schedule_rows(snapshot, bandwidths, style_name, params):
                     "duration_days": hours / 24,
                 }
             )
-    columns = [
-        "scheme",
-        "style",
-        "bandwidth",
-        "upgrade_blocks",
-        "blocks_elapsed",
-        "duration_hours",
-        "duration_days",
-    ]
-    return rows, columns, {"duration_hours": 2, "duration_days": 2}
+    return rows, {"duration_hours": 2, "duration_days": 2}
 
 
 def _cmd_plan(args):
@@ -330,17 +320,14 @@ def _cmd_plan(args):
     if bandwidths is None:
         bandwidths = list(DEFAULT_BANDWIDTHS)
     rows = bandwidth_table(snapshot, bandwidths, params)
-    columns = ["bandwidth", "ecdsa_hours", "ecdsa_days", "schnorr_hours", "schnorr_days"]
-    round_to = {col: 2 for col in columns[1:]}
     if snapshot.schnorr_fraction > 0:
-        # A mixed pool interpolates the two pure bounds.
+        # Interpolated between the two pure bounds by the Schnorr share;
+        # not a bound on the mixed pool.
         for row, bandwidth in zip(rows, bandwidths):
             hours = mixed_duration(snapshot, bandwidth, params)
             row["mixed_hours"] = hours
             row["mixed_days"] = hours / 24
-        columns += ["mixed_hours", "mixed_days"]
-        round_to.update({"mixed_hours": 2, "mixed_days": 2})
-    return rows, columns, round_to
+    return rows, {col: 2 for col in rows[0] if col != "bandwidth"}
 
 
 def _cmd_attack(args):
@@ -371,19 +358,7 @@ def _cmd_attack(args):
                 "seed": seed,
             }
         )
-    columns = [
-        "mining",
-        "key_bits",
-        "clock_hz",
-        "overhead_seconds",
-        "break_seconds",
-        "p_closed_form",
-        "p_estimate",
-        "std_error",
-        "trials",
-        "seed",
-    ]
-    return rows, columns, None
+    return rows, None
 
 
 def _cmd_impact(args):
@@ -404,20 +379,18 @@ def _cmd_impact(args):
                 "weight_slowdown": throughput_slowdown(scheme, params),
             }
         )
-    columns = [
-        "scheme",
-        "signature_bits",
-        "signature_ratio",
-        "tx_weight_wu",
-        "tx_per_block",
-        "weight_slowdown",
-    ]
-    return rows, columns, None
+    return rows, None
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="qsafe", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_reserves(p):
+        p.add_argument(
+            "--include-reserves", action="store_true",
+            help="subtract header and counter reserves from the block limit",
+        )
 
     def add_common(p):
         p.add_argument(
@@ -429,10 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_capacity = sub.add_parser(
         "capacity", help="per-block upgrade capacity by packing strategy"
     )
-    p_capacity.add_argument(
-        "--include-reserves", action="store_true",
-        help="subtract header and counter reserves from the block limit",
-    )
+    add_reserves(p_capacity)
     add_common(p_capacity)
     p_capacity.set_defaults(handler=_cmd_capacity)
 
@@ -454,10 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit a throttled schedule instead of lower bounds "
         "(k: upgrade every k-th block; fraction: share of each block)",
     )
-    p_plan.add_argument(
-        "--include-reserves", action="store_true",
-        help="subtract header and counter reserves from the block limit",
-    )
+    add_reserves(p_plan)
     add_common(p_plan)
     p_plan.set_defaults(handler=_cmd_plan)
 
@@ -491,10 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_impact = sub.add_parser(
         "impact", help="post-quantum signature throughput impact"
     )
-    p_impact.add_argument(
-        "--include-reserves", action="store_true",
-        help="subtract header and counter reserves from the block limit",
-    )
+    add_reserves(p_impact)
     add_common(p_impact)
     p_impact.set_defaults(handler=_cmd_impact)
     return parser
@@ -510,11 +474,8 @@ def run(argv=None) -> int:
         print(f"qsafe: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        rows, columns, round_to = args.handler(args)
-        text = emit_report(
-            rows, args.format, columns=columns, round_to=round_to,
-            destination=args.out,
-        )
+        rows, round_to = args.handler(args)
+        text = emit_report(rows, args.format, round_to=round_to, destination=args.out)
     except OSError as exc:
         print(f"qsafe: error: {exc}", file=sys.stderr)
         return EXIT_IO

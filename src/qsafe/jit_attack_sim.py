@@ -112,26 +112,11 @@ class FeePolicy(Enum):
     VICTIM_WINS_TIES = "victim-wins-ties"
 
 
-class Winner(Enum):
-    ATTACKER = "attacker"
-    VICTIM = "victim"
-
-
 @dataclass(frozen=True)
 class AttackScenario:
     attacker: QuantumAttacker
     mining: MiningModel
     fee_policy: FeePolicy = FeePolicy.ATTACKER_OUTBIDS
-
-
-@dataclass(frozen=True)
-class RaceOutcome:
-    """One resolved race.  Times are seconds after the victim's broadcast."""
-
-    winner: Winner
-    reveal_time: float
-    break_done_time: float
-    first_block_time: float
 
 
 def break_duration(attacker: QuantumAttacker) -> float:
@@ -215,20 +200,6 @@ def _attacker_wins(
     if fee_policy is FeePolicy.ATTACKER_OUTBIDS:
         return t_break <= first_block
     return t_break < first_block
-
-
-def race_once(scenario: AttackScenario, seed: int) -> RaceOutcome:
-    """Resolve a single race; a pure function of (scenario, seed)."""
-    uniforms = _next_uniforms(_philox(seed, 0), 1)
-    first_block = float(_first_block_times(scenario.mining, uniforms)[0])
-    t_break = break_duration(scenario.attacker)
-    wins = _attacker_wins(scenario.fee_policy, t_break, first_block)
-    return RaceOutcome(
-        winner=Winner.ATTACKER if wins else Winner.VICTIM,
-        reveal_time=0.0,
-        break_done_time=t_break,
-        first_block_time=first_block,
-    )
 
 
 def _usable_cpus() -> int:

@@ -69,9 +69,6 @@ class TransactionLayout:
     def from_pairs(cls, pairs) -> "TransactionLayout":
         return cls(tuple(FieldEntry(kind, size) for kind, size in pairs))
 
-    def __add__(self, other: "TransactionLayout") -> "TransactionLayout":
-        return TransactionLayout(self.entries + other.entries)
-
     def __len__(self) -> int:
         return len(self.entries)
 

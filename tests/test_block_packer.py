@@ -9,7 +9,6 @@ from qsafe.block_packer import (
     blocks_required,
     fixed_overhead,
     mega_capacity,
-    pack_stream,
     per_block_capacity,
     per_input_weight,
     standalone_upgrade_weight,
@@ -122,24 +121,3 @@ def test_reserves_shrink_capacity():
     assert per_block_capacity(ECDSA, MEGA, params) == (4_000_000 - 332 - 210) // 235
     assert per_block_capacity(ECDSA, MEGA, params) <= per_block_capacity(ECDSA, MEGA)
 
-
-def test_pack_stream_conserves_backlog():
-    assert pack_stream(100, 30) == (30, 70)
-    assert pack_stream(10, 30) == (10, 0)
-    assert pack_stream(0, 30) == (0, 0)
-    assert pack_stream(5, 0) == (0, 5)
-    assert pack_stream(186_676_874, 17_020) == (17_020, 186_659_854)
-    rng = random.Random(3)
-    for _ in range(200):
-        pending = rng.randrange(0, 10**6)
-        share = rng.randrange(0, 10**5)
-        packed, remaining = pack_stream(pending, share)
-        assert packed + remaining == pending
-        assert 0 <= packed <= share
-
-
-def test_pack_stream_rejects_negative():
-    with pytest.raises(ValueError):
-        pack_stream(-1, 5)
-    with pytest.raises(ValueError):
-        pack_stream(5, -1)

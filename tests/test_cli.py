@@ -128,6 +128,18 @@ def test_plan_schedule_every_kth(capsys):
     )
 
 
+def test_plan_schedule_every_kth_takes_a_huge_k(capsys):
+    # A billion blocks per upgrade block: the timeline is a closed form.
+    code, out, err = run_capture(
+        capsys, ["plan", "--schedule", "k", "--bandwidth", "1/1000000000"]
+    )
+    assert code == 0 and err == ""
+    rows = parse_csv(out)
+    assert [row["upgrade_blocks"] for row in rows] == ["10969", "7842"]
+    assert [row["blocks_elapsed"] for row in rows] == ["10969000000000", "7842000000000"]
+    assert rows[1]["duration_hours"] == "1307000000000.00"
+
+
 def test_plan_schedule_fraction(capsys):
     code, out, _ = run_capture(
         capsys, ["plan", "--schedule", "fraction", "--bandwidth", "1/2"]

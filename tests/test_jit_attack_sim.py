@@ -11,9 +11,11 @@ from qsafe.jit_attack_sim import (
     InvalidClock,
     Memoryless,
     QuantumAttacker,
-    Winner,
+    _attacker_wins,
+    _first_block_times,
+    _next_uniforms,
+    _philox,
     break_duration,
-    race_once,
     race_win_count,
     success_probability_closed_form,
     success_probability_monte_carlo,
@@ -87,44 +89,46 @@ def test_closed_form_is_monotone_in_clock():
     assert values == sorted(values)
 
 
-def test_race_once_is_deterministic():
-    scenario = AttackScenario(BASELINE, Memoryless())
-    first = race_once(scenario, seed=5)
-    again = race_once(scenario, seed=5)
-    assert first == again
-    assert first.reveal_time == 0.0
-    assert first.break_done_time == 65.536
-    expected = Winner.ATTACKER if 65.536 <= first.first_block_time else Winner.VICTIM
-    assert first.winner is expected
+def first_block_times(mining, seed, n):
+    """First-block times of trials 0..n-1 of the seed's stream 0."""
+    return _first_block_times(mining, _next_uniforms(_philox(seed, 0), n))
 
 
-def test_race_once_depends_on_seed():
-    scenario = AttackScenario(BASELINE, Memoryless())
-    times = {race_once(scenario, seed=s).first_block_time for s in range(8)}
+def test_first_block_times_are_deterministic():
+    for mining in (FixedInterval(), Memoryless()):
+        once = first_block_times(mining, 5, 50)
+        assert once.tobytes() == first_block_times(mining, 5, 50).tobytes()
+
+
+def test_first_block_times_depend_on_seed():
+    times = {float(first_block_times(Memoryless(), s, 1)[0]) for s in range(8)}
     assert len(times) == 8
 
 
+def test_exact_tie_goes_by_fee_policy():
+    assert _attacker_wins(FeePolicy.ATTACKER_OUTBIDS, 65.536, 65.536)
+    assert not _attacker_wins(FeePolicy.VICTIM_WINS_TIES, 65.536, 65.536)
+    assert _attacker_wins(FeePolicy.ATTACKER_OUTBIDS, 0.0, 0.0)
+    assert not _attacker_wins(FeePolicy.VICTIM_WINS_TIES, 0.0, 0.0)
+
+
 def test_winner_follows_tie_rule():
+    t_break = break_duration(BASELINE)
     for policy, rule in (
         (FeePolicy.ATTACKER_OUTBIDS, lambda t, b: t <= b),
         (FeePolicy.VICTIM_WINS_TIES, lambda t, b: t < b),
     ):
         for mining in (FixedInterval(), Memoryless()):
-            scenario = AttackScenario(BASELINE, mining, fee_policy=policy)
-            for seed in range(40):
-                outcome = race_once(scenario, seed)
-                expect_attacker = rule(outcome.break_done_time, outcome.first_block_time)
-                assert (outcome.winner is Winner.ATTACKER) == expect_attacker
+            times = first_block_times(mining, 3, 40)
+            won = _attacker_wins(policy, t_break, times)
+            assert list(won) == [rule(t_break, b) for b in times]
 
 
 def test_first_block_time_ranges():
-    fixed = AttackScenario(BASELINE, FixedInterval())
-    memoryless = AttackScenario(BASELINE, Memoryless())
     for seed in range(50):
-        fb = race_once(fixed, seed).first_block_time
-        assert 0.0 < fb <= 600.0
-        fb = race_once(memoryless, seed).first_block_time
-        assert fb >= 0.0
+        fixed = first_block_times(FixedInterval(), seed, 20)
+        assert ((0.0 < fixed) & (fixed <= 600.0)).all()
+        assert (first_block_times(Memoryless(), seed, 20) >= 0.0).all()
 
 
 def test_chunked_counts_merge_exactly():

@@ -22,11 +22,9 @@ from qsafe.jit_attack_sim import (
     FixedInterval,
     Memoryless,
     QuantumAttacker,
-    Winner,
     _next_uniforms,
     _philox,
     _workers,
-    race_once,
     race_win_count,
 )
 
@@ -77,14 +75,6 @@ def test_uniforms_match_reference_stream_bit_for_bit(seed, stream, start):
 def test_win_counts_are_pinned_across_chunk_boundaries(mining, seed, stream, wins):
     scenario = AttackScenario(BASELINE, mining)
     assert race_win_count(scenario, seed, 70_000, 200_001, stream=stream) == wins
-
-
-def test_race_once_is_trial_zero_of_stream_zero():
-    for mining in (FixedInterval(), Memoryless()):
-        scenario = AttackScenario(BASELINE, mining)
-        for seed in range(20):
-            attacker_won = race_once(scenario, seed).winner is Winner.ATTACKER
-            assert race_win_count(scenario, seed, 0, 1) == int(attacker_won)
 
 
 CUTS = st.one_of(

@@ -1,9 +1,18 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from qsafe.block_packer import PackingMode, UpgradeScheme, per_block_capacity
+from qsafe.block_packer import (
+    InfeasibleBlock,
+    PackingMode,
+    UpgradeScheme,
+    blocks_required,
+    per_block_capacity,
+)
 from qsafe.migration_planner import (
     DEFAULT_SNAPSHOT,
     EveryKthBlock,
@@ -13,12 +22,58 @@ from qsafe.migration_planner import (
     bandwidth_table,
     lower_bound_duration,
     mixed_duration,
-    plan_migration,
     throttled_schedule,
 )
+from qsafe.weight_model import DEFAULT_PARAMS, NetworkParams
 
 ECDSA = UpgradeScheme.ECDSA_SEGWIT
 SCHNORR = UpgradeScheme.SCHNORR_TAPROOT
+
+BANDWIDTHS = st.fractions(0, 1, max_denominator=10**6).filter(bool)
+
+
+def enumerate_schedule(snapshot, scheme, style, params=DEFAULT_PARAMS):
+    """Per-block upgrade allocations, filled one block at a time until the
+    backlog is empty: the planner's original loop, kept as the reference
+    for the run-length timeline."""
+    capacity = per_block_capacity(scheme, PackingMode.MEGA_TRANSACTION, params)
+    if capacity < 1:
+        raise InfeasibleBlock(f"per-block capacity is zero for {scheme.value}")
+    allocations = []
+    remaining = snapshot.total
+    if isinstance(style, EveryKthBlock):
+        block_index = 0
+        while remaining > 0:
+            block_index += 1
+            packed = min(remaining, capacity) if block_index % style.k == 0 else 0
+            remaining -= packed
+            allocations.append(packed)
+    else:
+        share = int(capacity * style.fraction)
+        if share < 1:
+            raise InvalidBandwidth(f"fraction {style.fraction} floors to zero")
+        while remaining > 0:
+            packed = min(remaining, share)
+            remaining -= packed
+            allocations.append(packed)
+    return tuple(allocations)
+
+
+def expand(timeline):
+    """Per-block allocations of a run-length timeline, in block order."""
+    idle = (0,) * (timeline.stride - 1)
+    allocations = (idle + (timeline.share,)) * timeline.full_blocks
+    if timeline.tail:
+        allocations += idle + (timeline.tail,)
+    return allocations
+
+
+def outcome(function, *args):
+    """The function's result, or the type of the ValueError it raised."""
+    try:
+        return function(*args)
+    except ValueError as exc:
+        return type(exc)
 
 
 def test_default_snapshot():
@@ -143,11 +198,26 @@ def test_mixed_duration_is_affine_with_pure_endpoints():
         assert mixed_duration(snap, 1) == (1 - f) * t_e + f * t_s
 
 
+def test_mixed_duration_is_an_interpolation_not_a_bound():
+    # At f = 3/10, packing each pool on its own in whole blocks takes
+    # longer than the interpolation says.
+    f = Fraction(3, 10)
+    total = DEFAULT_SNAPSHOT.total
+    schnorr = int(f * total)
+    blocks = blocks_required(total - schnorr, ECDSA) + blocks_required(schnorr, SCHNORR)
+    assert blocks == 10_031
+    separate = Fraction(blocks * 600, 3600)
+    mixed = mixed_duration(UtxoSnapshot("t", total, f), 1)
+    assert mixed == (1 - f) * Fraction(10_969, 6) + f * 1307
+    assert mixed < separate
+    assert (round(float(mixed), 2), round(float(separate), 2)) == (1671.82, 1671.83)
+
+
 def test_every_kth_schedule_small():
     snap = UtxoSnapshot("t", 17_020)
-    assert tuple(throttled_schedule(snap, ECDSA, EveryKthBlock(1))) == (17_020,)
+    assert expand(throttled_schedule(snap, ECDSA, EveryKthBlock(1))) == (17_020,)
     timeline = throttled_schedule(snap, ECDSA, EveryKthBlock(2))
-    assert tuple(timeline) == (0, 17_020)
+    assert expand(timeline) == (0, 17_020)
     assert timeline.blocks_elapsed == 2
     assert timeline.upgrade_blocks == 1
     assert timeline.total_upgraded == 17_020
@@ -155,21 +225,21 @@ def test_every_kth_schedule_small():
     two_blocks = throttled_schedule(
         UtxoSnapshot("t", 34_040), ECDSA, EveryKthBlock(2)
     )
-    assert tuple(two_blocks) == (0, 17_020, 0, 17_020)
+    assert expand(two_blocks) == (0, 17_020, 0, 17_020)
     assert two_blocks.upgrade_blocks == 2
 
 
 def test_fraction_schedule_small():
     snap = UtxoSnapshot("t", 17_020)
     timeline = throttled_schedule(snap, ECDSA, FractionOfEachBlock(Fraction(1, 2)))
-    assert tuple(timeline) == (8_510, 8_510)
+    assert expand(timeline) == (8_510, 8_510)
     assert timeline.blocks_elapsed == 2
 
 
 def test_fraction_schedule_partial_tail():
     snap = UtxoSnapshot("t", 17_021)
     timeline = throttled_schedule(snap, ECDSA, FractionOfEachBlock(Fraction(1, 2)))
-    assert tuple(timeline) == (8_510, 8_510, 1)
+    assert expand(timeline) == (8_510, 8_510, 1)
     assert timeline.total_upgraded == 17_021
 
 
@@ -200,7 +270,7 @@ def test_fraction_schedule_tracks_every_kth_when_share_is_exact():
         fraction = throttled_schedule(snap, ECDSA, FractionOfEachBlock(Fraction(1, k)))
         kth = throttled_schedule(snap, ECDSA, EveryKthBlock(k))
         assert fraction.total_upgraded == kth.total_upgraded == total
-        assert all(a <= capacity // k for a in fraction)
+        assert all(a <= capacity // k for a in expand(fraction))
         assert fraction.blocks_elapsed <= kth.blocks_elapsed
         assert kth.blocks_elapsed - fraction.blocks_elapsed < k
 
@@ -217,39 +287,102 @@ def test_fraction_schedule_floored_share_can_lag_every_kth():
 
 
 def test_fraction_schedule_rejects_zero_share():
-    snap = UtxoSnapshot("t", 100)
-    with pytest.raises(InvalidBandwidth):
-        throttled_schedule(snap, ECDSA, FractionOfEachBlock(Fraction(1, 100_000)))
+    for total in (100, 0):
+        with pytest.raises(InvalidBandwidth):
+            throttled_schedule(
+                UtxoSnapshot("t", total), ECDSA, FractionOfEachBlock(Fraction(1, 100_000))
+            )
+
+
+@pytest.mark.parametrize("limit", [300, 100], ids=["no-input-fits", "no-overhead-fits"])
+@pytest.mark.parametrize("style", [EveryKthBlock(2), FractionOfEachBlock(Fraction(1, 2))])
+def test_schedule_rejects_zero_capacity(limit, style):
+    params = NetworkParams(block_weight_limit=limit)
+    for total in (100, 0):
+        with pytest.raises(InfeasibleBlock):
+            throttled_schedule(UtxoSnapshot("t", total), ECDSA, style, params)
+
+
+STYLES = st.one_of(
+    st.integers(1, 12).map(EveryKthBlock),
+    BANDWIDTHS.map(FractionOfEachBlock),
+)
+PARAMS = st.sampled_from([
+    DEFAULT_PARAMS,
+    NetworkParams(apply_reserves=True),
+    NetworkParams(block_weight_limit=40_000, blocktime_seconds=30),
+    NetworkParams(block_weight_limit=300),  # fits the overhead, no input
+    NetworkParams(block_weight_limit=100),  # not even the overhead
+])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    total=st.integers(0, 200_000),
+    scheme=st.sampled_from(UpgradeScheme),
+    style=STYLES,
+    params=PARAMS,
+)
+@example(total=0, scheme=ECDSA, style=FractionOfEachBlock(Fraction(1, 10**5)),
+         params=DEFAULT_PARAMS)
+@example(total=5, scheme=SCHNORR, style=EveryKthBlock(3),
+         params=NetworkParams(block_weight_limit=300))
+@example(total=0, scheme=ECDSA, style=EveryKthBlock(12), params=DEFAULT_PARAMS)
+@example(total=200_000, scheme=ECDSA, style=EveryKthBlock(12),
+         params=NetworkParams(block_weight_limit=40_000, blocktime_seconds=30))
+def test_timeline_matches_block_by_block_enumeration(total, scheme, style, params):
+    snap = UtxoSnapshot("t", total)
+    expected = outcome(enumerate_schedule, snap, scheme, style, params)
+    timeline = outcome(throttled_schedule, snap, scheme, style, params)
+    if isinstance(expected, type):
+        assert timeline is expected
+        return
+    blocktime = params.blocktime_seconds
+    assert expand(timeline) == expected
+    assert timeline.blocks_elapsed == len(expected)
+    assert timeline.upgrade_blocks == sum(1 for a in expected if a > 0)
+    assert timeline.total_upgraded == sum(expected) == total
+    assert timeline.duration_seconds == len(expected) * blocktime
+    assert timeline.duration_hours == Fraction(len(expected) * blocktime, 3600)
+
+
+def test_schedule_memory_does_not_depend_on_k():
+    for style in (EveryKthBlock(1000), FractionOfEachBlock(Fraction(1, 100))):
+        tracemalloc.start()
+        try:
+            throttled_schedule(DEFAULT_SNAPSHOT, ECDSA, style)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, style
+    timeline = throttled_schedule(DEFAULT_SNAPSHOT, ECDSA, EveryKthBlock(10**12))
+    assert timeline.blocks_elapsed == 10**12 * 10_969
+    assert timeline.duration_hours == 10**12 * lower_bound_duration(DEFAULT_SNAPSHOT, ECDSA, 1)
 
 
 def test_schedule_style_validation():
     with pytest.raises(InvalidBandwidth):
         EveryKthBlock(0)
+    with pytest.raises(TypeError):
+        EveryKthBlock(2.5)
     with pytest.raises(InvalidBandwidth):
         FractionOfEachBlock(Fraction(3, 2))
     assert EveryKthBlock(4).bandwidth == Fraction(1, 4)
     assert FractionOfEachBlock(Fraction(1, 4)).bandwidth == Fraction(1, 4)
 
 
-def test_plan_migration_from_bandwidth():
-    plan = plan_migration(DEFAULT_SNAPSHOT, ECDSA, bandwidth=Fraction(1, 2))
-    assert plan.blocks == 10_969
-    assert plan.duration_hours == 2 * Fraction(10_969, 6)
 
-
-def test_plan_migration_from_style():
-    plan = plan_migration(
-        DEFAULT_SNAPSHOT, SCHNORR, schedule_style=EveryKthBlock(3)
+@settings(max_examples=200, deadline=None)
+@given(
+    total=st.integers(0, 10**12),
+    more=st.integers(0, 10**9),
+    bandwidths=st.lists(BANDWIDTHS, min_size=2, max_size=2).map(sorted),
+    scheme=st.sampled_from(UpgradeScheme),
+)
+def test_lower_bound_is_monotone_in_bandwidth_and_total(total, more, bandwidths, scheme):
+    narrow, wide = bandwidths
+    snap, bigger = UtxoSnapshot("t", total), UtxoSnapshot("t", total + more)
+    assert lower_bound_duration(snap, scheme, wide) <= lower_bound_duration(snap, scheme, narrow)
+    assert lower_bound_duration(snap, scheme, narrow) <= lower_bound_duration(
+        bigger, scheme, narrow
     )
-    assert plan.bandwidth == Fraction(1, 3)
-    assert plan.duration_hours == 3 * 1307
-
-
-def test_plan_migration_requires_exactly_one_mode():
-    with pytest.raises(ValueError):
-        plan_migration(DEFAULT_SNAPSHOT, ECDSA)
-    with pytest.raises(ValueError):
-        plan_migration(
-            DEFAULT_SNAPSHOT, ECDSA,
-            bandwidth=1, schedule_style=EveryKthBlock(2),
-        )

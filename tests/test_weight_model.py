@@ -45,6 +45,7 @@ def test_canonical_cumulative_weights():
 
 
 def test_cumulative_matches_total_for_any_layout():
+    assert transaction_weight(TransactionLayout(())) == 0
     rng = random.Random(901)
     kinds = list(FieldKind)
     for _ in range(200):
@@ -86,17 +87,6 @@ def test_schnorr_mega_has_one_witness():
     assert len(witnesses) == 1
     ecdsa_witnesses = [e for e in ecdsa_mega(50) if e.kind is FieldKind.WITNESS_DATA]
     assert len(ecdsa_witnesses) == 50
-
-
-def test_layout_concatenation():
-    combined = single_in_single_out() + single_in_single_out()
-    assert transaction_weight(combined) == 890
-    assert len(combined) == 12
-    extra_input = TransactionLayout.from_pairs(
-        [(FieldKind.INPUT, 42), (FieldKind.WITNESS_DATA, 67)]
-    )
-    assert transaction_weight(single_in_single_out() + extra_input) == 680
-    assert transaction_weight(TransactionLayout(())) == 0
 
 
 def test_field_entry_rejects_negative_size():
