@@ -10,12 +10,9 @@ them as the ``qsafe`` command.
 
 from .weight_model import (
     DEFAULT_PARAMS,
-    FieldEntry,
     FieldKind,
     NetworkParams,
-    SCALE_FACTORS,
     TransactionLayout,
-    canonical_layouts,
     cumulative_weights,
     ecdsa_mega,
     field_weight,
@@ -84,7 +81,6 @@ __all__ = [
     "AttackScenario",
     "EveryKthBlock",
     "FeePolicy",
-    "FieldEntry",
     "FieldKind",
     "FixedInterval",
     "FractionOfEachBlock",
@@ -97,7 +93,6 @@ __all__ = [
     "PqScheme",
     "QuantumAttacker",
     "ReportFormat",
-    "SCALE_FACTORS",
     "ScheduleTimeline",
     "TransactionLayout",
     "UpgradeScheme",
@@ -105,7 +100,6 @@ __all__ = [
     "bandwidth_table",
     "blocks_required",
     "break_duration",
-    "canonical_layouts",
     "cumulative_weights",
     "ecdsa_mega",
     "emit_report",

@@ -73,14 +73,6 @@ DEFAULT_CLOCKS = (1000.0,)
 DEFAULT_TRIALS = 100_000
 
 
-class ParseError(ValueError):
-    """A command line or input file value could not be parsed."""
-
-
-class ValidationError(ValueError):
-    """A parsed value is outside its allowed range."""
-
-
 # --- report rendering -------------------------------------------------
 
 
@@ -110,14 +102,6 @@ def round_half_up(value, decimals: int = 2) -> str:
     return f"{sign}{whole}.{frac:0{decimals}d}"
 
 
-def _columns_for(rows, columns):
-    if columns is not None:
-        return list(columns)
-    if not rows:
-        raise ValueError("columns are required when rows is empty")
-    return list(rows[0].keys())
-
-
 def _cell_text(value, decimals) -> str:
     if decimals is not None:
         return round_half_up(value, decimals)
@@ -136,14 +120,17 @@ def _cell_json(value):
     return value
 
 
-def render_report(rows, fmt, columns=None, round_to=None) -> str:
+def render_report(rows, fmt, round_to=None) -> str:
     """Render rows as text in the requested format, trailing newline included.
 
-    ``round_to`` maps column names to decimal places for the textual
-    formats; JSON ignores it and keeps full numeric precision.
+    The columns are the first row's keys, in order.  ``round_to`` maps
+    column names to decimal places for the textual formats; JSON ignores
+    it and keeps full numeric precision.
     """
     fmt = ReportFormat(fmt)
-    cols = _columns_for(rows, columns)
+    if not rows:
+        raise ValueError("rows must be non-empty")
+    cols = list(rows[0])
     round_to = dict(round_to or {})
 
     if fmt is ReportFormat.JSON:
@@ -164,13 +151,13 @@ def render_report(rows, fmt, columns=None, round_to=None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_report(rows, fmt, columns=None, round_to=None, destination=None) -> str:
+def emit_report(rows, fmt, round_to=None, destination=None) -> str:
     """Render and, when a destination path is given, also write the file.
 
     The file is written with ``newline=""`` so its bytes match the
     returned string exactly on every platform.
     """
-    text = render_report(rows, fmt, columns=columns, round_to=round_to)
+    text = render_report(rows, fmt, round_to=round_to)
     if destination is not None:
         with open(destination, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
@@ -182,9 +169,9 @@ def emit_report(rows, fmt, columns=None, round_to=None, destination=None) -> str
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad flags; usage problems here are
-    # exit 1, with 2 reserved for I/O, so route errors through ParseError.
+    # exit 1, with 2 reserved for I/O, so route errors through ValueError.
     def error(self, message):
-        raise ParseError(f"{message}\n{self.format_usage().rstrip()}")
+        raise ValueError(f"{message}\n{self.format_usage().rstrip()}")
 
 
 # argparse replaces ValueError messages from type= callbacks with a
@@ -212,11 +199,11 @@ def load_snapshot(path: str | None) -> UtxoSnapshot:
         try:
             payload = json.load(handle, parse_float=Fraction)
         except json.JSONDecodeError as exc:
-            raise ParseError(f"snapshot {path}: invalid JSON: {exc}") from exc
+            raise ValueError(f"snapshot {path}: invalid JSON: {exc}") from exc
     if not isinstance(payload, dict):
-        raise ParseError(f"snapshot {path}: expected a JSON object")
+        raise ValueError(f"snapshot {path}: expected a JSON object")
     if "total_utxos" not in payload:
-        raise ParseError(f"snapshot {path}: missing required field total_utxos")
+        raise ValueError(f"snapshot {path}: missing required field total_utxos")
     try:
         return UtxoSnapshot(
             as_of=str(payload.get("as_of", "unspecified")),
@@ -224,7 +211,7 @@ def load_snapshot(path: str | None) -> UtxoSnapshot:
             schnorr_fraction=payload.get("schnorr_fraction", 0),
         )
     except ValueError as exc:
-        raise ValidationError(f"snapshot {path}: {exc}") from exc
+        raise ValueError(f"snapshot {path}: {exc}") from exc
 
 
 def _resolve_seed(flag_value: int | None) -> int:
@@ -236,7 +223,7 @@ def _resolve_seed(flag_value: int | None) -> int:
     try:
         return int(raw)
     except ValueError as exc:
-        raise ParseError(f"{SEED_ENV_VAR}: not an integer: {raw!r}") from exc
+        raise ValueError(f"{SEED_ENV_VAR}: not an integer: {raw!r}") from exc
 
 
 def _params(args) -> NetworkParams:
@@ -284,7 +271,7 @@ def _schedule_rows(snapshot, bandwidths, style_name, params):
         for bandwidth in bandwidths:
             if style_name == "k":
                 if bandwidth.numerator != 1:
-                    raise ValidationError(
+                    raise ValueError(
                         "bandwidth: every-kth scheduling needs a unit fraction "
                         f"(1/k), got {bandwidth}"
                     )
@@ -310,13 +297,18 @@ def _schedule_rows(snapshot, bandwidths, style_name, params):
 def _cmd_plan(args):
     params = _params(args)
     snapshot = load_snapshot(args.snapshot)
-    if args.schnorr_fraction is not None:
-        snapshot = replace(snapshot, schnorr_fraction=args.schnorr_fraction)
     bandwidths = args.bandwidth
     if args.schedule is not None:
         if bandwidths is None:
-            raise ParseError("--schedule requires an explicit --bandwidth")
+            raise ValueError("--schedule requires an explicit --bandwidth")
+        if args.schnorr_fraction is not None:
+            raise ValueError(
+                "--schnorr-fraction does not apply to --schedule: "
+                "schedules price the whole pool under each scheme"
+            )
         return _schedule_rows(snapshot, bandwidths, args.schedule, params)
+    if args.schnorr_fraction is not None:
+        snapshot = replace(snapshot, schnorr_fraction=args.schnorr_fraction)
     if bandwidths is None:
         bandwidths = list(DEFAULT_BANDWIDTHS)
     rows = bandwidth_table(snapshot, bandwidths, params)
@@ -331,8 +323,6 @@ def _cmd_plan(args):
 
 
 def _cmd_attack(args):
-    if args.trials < 1:
-        raise ValidationError(f"trials must be >= 1, got {args.trials}")
     clocks = args.clock_hz if args.clock_hz is not None else list(DEFAULT_CLOCKS)
     seed = _resolve_seed(args.seed)
     mining = FixedInterval() if args.mining == "fixed" else Memoryless()
@@ -417,7 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_plan.add_argument(
         "--schnorr-fraction", type=lambda s: _parse_fraction(s, "schnorr-fraction"),
-        metavar="F", help="override the snapshot's key-aggregable share in [0, 1]",
+        metavar="F",
+        help="override the snapshot's key-aggregable share in [0, 1] (not with --schedule)",
     )
     p_plan.add_argument(
         "--schedule", choices=["k", "fraction"],

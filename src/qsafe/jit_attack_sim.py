@@ -74,6 +74,15 @@ class QuantumAttacker:
             raise ValueError(
                 f"overhead_seconds must be finite and >= 0, got {self.overhead_seconds}"
             )
+        try:
+            finite = math.isfinite(break_duration(self))
+        except OverflowError:  # key_bits**2 too large for a float
+            finite = False
+        if not finite:
+            raise ValueError(
+                "break time key_bits**2 / effective_clock_hz + overhead_seconds "
+                "is not a finite number of seconds"
+            )
 
 
 @dataclass(frozen=True)

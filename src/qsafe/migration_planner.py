@@ -134,10 +134,6 @@ class ScheduleTimeline:
         return self.share * self.full_blocks + self.tail
 
     @property
-    def duration_seconds(self) -> int:
-        return self.blocks_elapsed * self.blocktime_seconds
-
-    @property
     def duration_hours(self) -> Fraction:
         return _hours(self.blocks_elapsed, self.blocktime_seconds)
 

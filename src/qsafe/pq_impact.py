@@ -7,6 +7,7 @@ grows only through the witness bytes (scale factor 1), so the slowdown
 in transactions per block is milder than the raw signature-size ratio.
 """
 
+from dataclasses import replace
 from enum import Enum
 from fractions import Fraction
 
@@ -56,7 +57,7 @@ def post_upgrade_layout(scheme: PqScheme) -> TransactionLayout:
     entries = []
     for entry in single_in_single_out():
         if entry.kind is FieldKind.WITNESS_DATA:
-            entry = type(entry)(entry.kind, entry.size_bytes + extra_bits // 8)
+            entry = replace(entry, size_bytes=entry.size_bytes + extra_bits // 8)
         entries.append(entry)
     return TransactionLayout(tuple(entries))
 

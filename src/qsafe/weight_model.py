@@ -2,16 +2,19 @@
 
 Block space is measured in weight units (WU): a block holds at most
 4,000,000 WU, witness bytes count 1 WU each, and most other bytes count
-4 WU each.  Transactions are modelled here as ordered lists of
-(field kind, byte size) entries at the granularity of the major fields,
-so that the footprint of UTXO-upgrade transactions can be computed
-exactly.  All arithmetic in this module is integer; nothing rounds.
+4 WU each.  Transactions are modelled here as ordered runs of
+(field kind, byte size, count) entries at the granularity of the major
+fields, so that the footprint of UTXO-upgrade transactions can be
+computed exactly.  All arithmetic in this module is integer; nothing
+rounds.
 
 The canonical single-input/single-output upgrade transaction is 163
 bytes (445 WU), and the ``*_mega`` builders produce the block-filling
-many-inputs/one-output variants used to bound upgrade throughput.
+many-inputs/one-output variants used to bound upgrade throughput: six
+runs whatever their input count.
 """
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -49,35 +52,32 @@ LOCK_TIME_BYTES = 4
 
 @dataclass(frozen=True)
 class FieldEntry:
-    """One serialized field: its kind and its size in bytes."""
+    """A run of ``count`` consecutive serialized fields of one kind and size."""
 
     kind: FieldKind
     size_bytes: int
+    count: int = 1
 
     def __post_init__(self) -> None:
+        # A whole number of fields: a float count raises TypeError.
+        object.__setattr__(self, "count", operator.index(self.count))
         if self.size_bytes < 0:
             raise ValueError(f"size_bytes must be >= 0, got {self.size_bytes}")
+        if self.count < 0:
+            raise ValueError(f"count must be >= 0, got {self.count}")
 
 
 @dataclass(frozen=True)
 class TransactionLayout:
-    """Ordered sequence of field entries describing one transaction."""
+    """Ordered sequence of field runs describing one transaction."""
 
     entries: tuple[FieldEntry, ...]
-
-    @classmethod
-    def from_pairs(cls, pairs) -> "TransactionLayout":
-        return cls(tuple(FieldEntry(kind, size) for kind, size in pairs))
 
     def __len__(self) -> int:
         return len(self.entries)
 
     def __iter__(self):
         return iter(self.entries)
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(entry.size_bytes for entry in self.entries)
 
 
 @dataclass(frozen=True)
@@ -121,43 +121,43 @@ def field_weight(size_bytes: int, kind: FieldKind) -> int:
     return size_bytes * SCALE_FACTORS[kind]
 
 
+def _run_weight(entry: FieldEntry) -> int:
+    return entry.count * field_weight(entry.size_bytes, entry.kind)
+
+
 def transaction_weight(layout: TransactionLayout) -> int:
     """Total weight of a layout; fields contribute independently."""
-    return sum(field_weight(entry.size_bytes, entry.kind) for entry in layout.entries)
+    return sum(_run_weight(entry) for entry in layout.entries)
 
 
 def cumulative_weights(layout: TransactionLayout) -> tuple[int, ...]:
-    """Running weight totals over the layout's prefixes."""
+    """Running weight totals over the layout's prefixes, one per run."""
     totals = []
     running = 0
     for entry in layout.entries:
-        running += field_weight(entry.size_bytes, entry.kind)
+        running += _run_weight(entry)
         totals.append(running)
     return tuple(totals)
 
 
 def single_in_single_out() -> TransactionLayout:
     """The canonical 163-byte / 445-WU one-input, one-output transaction."""
-    return TransactionLayout.from_pairs(
-        [
-            (FieldKind.VERSION, VERSION_BYTES),
-            (FieldKind.MARKER_AND_FLAG, MARKER_AND_FLAG_BYTES),
-            (FieldKind.INPUT, INPUT_BYTES),
-            (FieldKind.OUTPUT, OUTPUT_BYTES),
-            (FieldKind.WITNESS_DATA, WITNESS_BYTES),
-            (FieldKind.LOCK_TIME, LOCK_TIME_BYTES),
-        ]
+    return _mega(1, 1)
+
+
+def _mega(n_inputs: int, n_witnesses: int) -> TransactionLayout:
+    # Fields in serialization order: every input precedes the output and
+    # every witness follows it.
+    return TransactionLayout(
+        (
+            FieldEntry(FieldKind.VERSION, VERSION_BYTES),
+            FieldEntry(FieldKind.MARKER_AND_FLAG, MARKER_AND_FLAG_BYTES),
+            FieldEntry(FieldKind.INPUT, INPUT_BYTES, n_inputs),
+            FieldEntry(FieldKind.OUTPUT, OUTPUT_BYTES),
+            FieldEntry(FieldKind.WITNESS_DATA, WITNESS_BYTES, n_witnesses),
+            FieldEntry(FieldKind.LOCK_TIME, LOCK_TIME_BYTES),
+        )
     )
-
-
-def _fixed_fields() -> list[tuple[FieldKind, int]]:
-    # Shared by both mega layouts: everything except inputs and witnesses.
-    return [
-        (FieldKind.VERSION, VERSION_BYTES),
-        (FieldKind.MARKER_AND_FLAG, MARKER_AND_FLAG_BYTES),
-        (FieldKind.OUTPUT, OUTPUT_BYTES),
-        (FieldKind.LOCK_TIME, LOCK_TIME_BYTES),
-    ]
 
 
 def ecdsa_mega(n_inputs: int) -> TransactionLayout:
@@ -166,15 +166,7 @@ def ecdsa_mega(n_inputs: int) -> TransactionLayout:
     Costs 235 WU per input (168 input + 67 witness) on top of 210 WU of
     fixed overhead.
     """
-    if n_inputs < 0:
-        raise ValueError(f"n_inputs must be >= 0, got {n_inputs}")
-    version, marker, output, lock_time = _fixed_fields()
-    pairs = [version, marker]
-    pairs.extend([(FieldKind.INPUT, INPUT_BYTES)] * n_inputs)
-    pairs.append(output)
-    pairs.extend([(FieldKind.WITNESS_DATA, WITNESS_BYTES)] * n_inputs)
-    pairs.append(lock_time)
-    return TransactionLayout.from_pairs(pairs)
+    return _mega(n_inputs, n_inputs)
 
 
 def schnorr_mega(n_inputs: int) -> TransactionLayout:
@@ -184,21 +176,4 @@ def schnorr_mega(n_inputs: int) -> TransactionLayout:
     instance, so inputs cost 168 WU each on top of 277 WU of fixed
     overhead.
     """
-    if n_inputs < 0:
-        raise ValueError(f"n_inputs must be >= 0, got {n_inputs}")
-    version, marker, output, lock_time = _fixed_fields()
-    pairs = [version, marker]
-    pairs.extend([(FieldKind.INPUT, INPUT_BYTES)] * n_inputs)
-    pairs.append(output)
-    pairs.append((FieldKind.WITNESS_DATA, WITNESS_BYTES))
-    pairs.append(lock_time)
-    return TransactionLayout.from_pairs(pairs)
-
-
-def canonical_layouts(n_inputs: int = 1) -> dict[str, TransactionLayout]:
-    """Named reference layouts; the mega variants are built at ``n_inputs``."""
-    return {
-        "single-in-single-out": single_in_single_out(),
-        "ecdsa-mega": ecdsa_mega(n_inputs),
-        "schnorr-mega": schnorr_mega(n_inputs),
-    }
+    return _mega(n_inputs, 1)

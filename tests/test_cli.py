@@ -157,6 +157,17 @@ def test_plan_schedule_requires_bandwidth(capsys):
     assert "--bandwidth" in err
 
 
+@pytest.mark.parametrize("schedule", ["k", "fraction"])
+def test_plan_schedule_rejects_schnorr_fraction(capsys, schedule):
+    code, out, err = run_capture(
+        capsys,
+        ["plan", "--schedule", schedule, "--bandwidth", "1/2", "--schnorr-fraction", "0.3"],
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("qsafe: error:") and err.count("\n") == 1
+    assert "whole pool under each scheme" in err
+
+
 def test_plan_schedule_k_needs_unit_fraction(capsys):
     code, _, err = run_capture(
         capsys, ["plan", "--schedule", "k", "--bandwidth", "0.3"]
@@ -345,6 +356,7 @@ def test_attack_bad_env_seed(monkeypatch, capsys):
 
 def test_attack_validation(capsys):
     assert run_capture(capsys, ["attack", "--trials", "0"])[0] == 1
+    assert run_capture(capsys, ["attack", "--trials", "-5"])[0] == 1
     assert run_capture(capsys, ["attack", "--clock-hz", "0"])[0] == 1
     assert run_capture(capsys, ["attack", "--key-bits", "-1"])[0] == 1
     assert run_capture(capsys, ["attack", "--overhead", "-1"])[0] == 1
@@ -358,12 +370,17 @@ def test_attack_validation(capsys):
         ["--clock-hz", "inf"],
         ["--overhead", "inf"],
         ["--clock-hz", "1000", "--clock-hz", "nan"],
+        # Finite flags whose break time is not: key_bits**2 overflows a
+        # float, or the quotient is inf.
+        ["--key-bits", str(10**200)],
+        ["--clock-hz", "5e-324", "--mining", "fixed"],
+        ["--clock-hz", "1000", "--clock-hz", "5e-324"],
     ],
 )
 def test_attack_rejects_non_finite_flags(capsys, flags):
     code, out, err = run_capture(capsys, ["attack", "--trials", "100", *flags])
     assert code == 1 and out == ""
-    assert err.startswith("qsafe: error:")
+    assert err.startswith("qsafe: error:") and err.count("\n") == 1
 
 
 def test_impact_golden(capsys):

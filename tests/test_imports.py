@@ -1,7 +1,8 @@
-"""numpy is loaded only when a Monte Carlo draw runs.
+"""What ``import qsafe`` exposes, and that numpy is loaded only when a
+Monte Carlo draw runs.
 
-Each check runs in a fresh interpreter, because this test process has
-long since imported numpy.
+Each numpy check runs in a fresh interpreter, because this test process
+has long since imported numpy.
 """
 
 import subprocess
@@ -49,3 +50,11 @@ def test_exact_paths_never_load_numpy(argv):
 
 def test_attack_loads_numpy_on_its_first_draw():
     assert numpy_loaded_after(["attack", "--trials", "10"])
+
+
+def test_public_names_resolve_once():
+    import qsafe
+
+    assert len(set(qsafe.__all__)) == len(qsafe.__all__)
+    for name in qsafe.__all__:
+        assert getattr(qsafe, name) is not None

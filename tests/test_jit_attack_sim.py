@@ -52,6 +52,20 @@ def test_attacker_validation():
         QuantumAttacker(key_bits=256, overhead_seconds=-0.1)
 
 
+@pytest.mark.parametrize(
+    "attacker",
+    [
+        {"key_bits": 10**200},  # key_bits**2 overflows a float
+        {"key_bits": 256, "effective_clock_hz": 5e-324},  # quotient is inf
+        {"key_bits": 256, "overhead_seconds": 1e308, "effective_clock_hz": 6e-304},
+    ],
+    ids=["overflow", "inf-quotient", "inf-sum"],
+)
+def test_attacker_rejects_non_finite_break_time(attacker):
+    with pytest.raises(ValueError):
+        QuantumAttacker(**attacker)
+
+
 def test_closed_form_fixed_interval():
     scenario = AttackScenario(BASELINE, FixedInterval())
     assert success_probability_closed_form(scenario) == 1.0 - 65.536 / 600.0
@@ -268,6 +282,11 @@ def test_sweep_validates_every_clock_before_drawing(monkeypatch):
 def test_closed_form_is_a_probability_for_every_accepted_input(
     key_bits, clock_hz, overhead, blocktime, memoryless
 ):
+    if not math.isfinite(key_bits**2 / clock_hz + overhead):
+        # A break time that is not finite is refused, not modelled.
+        with pytest.raises(ValueError):
+            QuantumAttacker(key_bits, effective_clock_hz=clock_hz, overhead_seconds=overhead)
+        return
     attacker = QuantumAttacker(key_bits, effective_clock_hz=clock_hz, overhead_seconds=overhead)
     mining = Memoryless(blocktime) if memoryless else FixedInterval(blocktime)
     assert 0.0 <= success_probability_closed_form(AttackScenario(attacker, mining)) <= 1.0

@@ -221,7 +221,7 @@ def test_every_kth_schedule_small():
     assert timeline.blocks_elapsed == 2
     assert timeline.upgrade_blocks == 1
     assert timeline.total_upgraded == 17_020
-    assert timeline.duration_seconds == 1200
+    assert timeline.duration_hours == Fraction(1200, 3600)
     two_blocks = throttled_schedule(
         UtxoSnapshot("t", 34_040), ECDSA, EveryKthBlock(2)
     )
@@ -342,7 +342,6 @@ def test_timeline_matches_block_by_block_enumeration(total, scheme, style, param
     assert timeline.blocks_elapsed == len(expected)
     assert timeline.upgrade_blocks == sum(1 for a in expected if a > 0)
     assert timeline.total_upgraded == sum(expected) == total
-    assert timeline.duration_seconds == len(expected) * blocktime
     assert timeline.duration_hours == Fraction(len(expected) * blocktime, 3600)
 
 

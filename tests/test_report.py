@@ -70,13 +70,7 @@ def test_enums_render_by_value():
     assert json.loads(render_report(rows, "json")) == [{"scheme": "ecdsa-segwit"}]
 
 
-def test_column_selection_and_order():
-    text = render_report(ROWS, "csv", columns=["hours", "name"], round_to={"hours": 2})
-    assert text == "hours,name\n0.33,a\n3.50,b\n"
-
-
 def test_empty_rows():
-    assert render_report([], "csv", columns=["a", "b"]) == "a,b\n"
     with pytest.raises(ValueError):
         render_report([], "csv")
 

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qsafe.weight_model import (
     DEFAULT_PARAMS,
@@ -9,7 +11,6 @@ from qsafe.weight_model import (
     NetworkParams,
     SCALE_FACTORS,
     TransactionLayout,
-    canonical_layouts,
     cumulative_weights,
     ecdsa_mega,
     field_weight,
@@ -36,7 +37,7 @@ def test_field_weight_scales_by_kind():
 
 def test_canonical_transaction_totals():
     layout = single_in_single_out()
-    assert layout.total_bytes == 163
+    assert sum(entry.size_bytes * entry.count for entry in layout) == 163
     assert transaction_weight(layout) == 445
 
 
@@ -49,11 +50,12 @@ def test_cumulative_matches_total_for_any_layout():
     rng = random.Random(901)
     kinds = list(FieldKind)
     for _ in range(200):
-        pairs = [
-            (rng.choice(kinds), rng.randrange(0, 1000))
-            for _ in range(rng.randrange(0, 12))
-        ]
-        layout = TransactionLayout.from_pairs(pairs)
+        layout = TransactionLayout(
+            tuple(
+                FieldEntry(rng.choice(kinds), rng.randrange(0, 1000), rng.randrange(0, 50))
+                for _ in range(rng.randrange(0, 12))
+            )
+        )
         totals = cumulative_weights(layout)
         assert len(totals) == len(layout)
         assert (totals[-1] if totals else 0) == transaction_weight(layout)
@@ -63,7 +65,7 @@ def test_cumulative_matches_total_for_any_layout():
 def test_ecdsa_mega_is_affine_in_inputs():
     base = transaction_weight(ecdsa_mega(0))
     assert base == 210
-    for n in (1, 2, 17, 17020):
+    for n in (1, 2, 3, 17, 17020):
         assert transaction_weight(ecdsa_mega(n)) == 210 + 235 * n
 
 
@@ -81,17 +83,58 @@ def test_mega_builders_reject_negative_inputs():
         schnorr_mega(-1)
 
 
+def _witness_count(layout):
+    return sum(e.count for e in layout if e.kind is FieldKind.WITNESS_DATA)
+
+
 def test_schnorr_mega_has_one_witness():
-    layout = schnorr_mega(50)
-    witnesses = [e for e in layout if e.kind is FieldKind.WITNESS_DATA]
-    assert len(witnesses) == 1
-    ecdsa_witnesses = [e for e in ecdsa_mega(50) if e.kind is FieldKind.WITNESS_DATA]
-    assert len(ecdsa_witnesses) == 50
+    assert _witness_count(schnorr_mega(50)) == 1
+    assert _witness_count(ecdsa_mega(50)) == 50
+
+
+def _one_entry_per_field(n_inputs, n_witnesses):
+    # The layout the builders produced before runs: one (kind, size)
+    # pair per serialized field.
+    return (
+        [(FieldKind.VERSION, 4), (FieldKind.MARKER_AND_FLAG, 2)]
+        + [(FieldKind.INPUT, 42)] * n_inputs
+        + [(FieldKind.OUTPUT, 44)]
+        + [(FieldKind.WITNESS_DATA, 67)] * n_witnesses
+        + [(FieldKind.LOCK_TIME, 4)]
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(0, 10**6), ecdsa=st.booleans())
+@example(n=0, ecdsa=True)
+@example(n=0, ecdsa=False)
+@example(n=10**6, ecdsa=True)
+def test_runs_match_one_entry_per_field(n, ecdsa):
+    layout = ecdsa_mega(n) if ecdsa else schnorr_mega(n)
+    fields = _one_entry_per_field(n, n if ecdsa else 1)
+    weight = sum(field_weight(size, kind) for kind, size in fields)
+    assert len(layout) == 6
+    assert sum(e.count for e in layout) == len(fields)
+    assert transaction_weight(layout) == weight
+    assert cumulative_weights(layout)[-1] == weight
+    assert sum(e.size_bytes * e.count for e in layout) == sum(size for _, size in fields)
+    assert _witness_count(layout) == sum(kind is FieldKind.WITNESS_DATA for kind, _ in fields)
+
+
+def test_mega_layouts_stay_small_at_any_input_count():
+    n = 10**12
+    assert len(ecdsa_mega(n)) <= 6 and len(schnorr_mega(n)) <= 6
+    assert transaction_weight(ecdsa_mega(n)) == 210 + 235 * n
+    assert transaction_weight(schnorr_mega(n)) == 277 + 168 * n
 
 
 def test_field_entry_rejects_negative_size():
     with pytest.raises(ValueError):
         FieldEntry(FieldKind.INPUT, -4)
+    with pytest.raises(ValueError):
+        FieldEntry(FieldKind.INPUT, 42, -1)
+    with pytest.raises(TypeError):
+        FieldEntry(FieldKind.INPUT, 42, 1.5)
 
 
 def test_default_params():
@@ -108,8 +151,3 @@ def test_reserves_only_count_when_applied():
     with pytest.raises(ValueError):
         NetworkParams(header_reserve=-1)
 
-
-def test_canonical_layouts_keys():
-    layouts = canonical_layouts(3)
-    assert set(layouts) == {"single-in-single-out", "ecdsa-mega", "schnorr-mega"}
-    assert transaction_weight(layouts["ecdsa-mega"]) == 210 + 3 * 235
