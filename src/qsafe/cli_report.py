@@ -17,49 +17,26 @@ conversion; every other cell comes straight from a library call.
 Exit codes: 0 success, 1 bad usage or bad values, 2 I/O failure.
 """
 
+from __future__ import annotations
+
 import argparse
 import csv
 import io
 import json
 import os
+import re
 import sys
 from dataclasses import replace
 from enum import Enum
 from fractions import Fraction
 from numbers import Rational
+from typing import TYPE_CHECKING
 
-from .weight_model import DEFAULT_PARAMS, NetworkParams
-from .block_packer import (
-    PackingMode,
-    UpgradeScheme,
-    fixed_overhead,
-    per_block_capacity,
-    per_input_weight,
-    standalone_upgrade_weight,
-)
-from .migration_planner import (
-    DEFAULT_SNAPSHOT,
-    EveryKthBlock,
-    FractionOfEachBlock,
-    UtxoSnapshot,
-    bandwidth_table,
-    mixed_duration,
-    throttled_schedule,
-)
-from .jit_attack_sim import (
-    AttackScenario,
-    FixedInterval,
-    Memoryless,
-    QuantumAttacker,
-    sweep,
-)
-from .pq_impact import (
-    PqScheme,
-    post_upgrade_transaction_weight,
-    signature_ratio,
-    throughput_slowdown,
-    transactions_per_block,
-)
+# Each handler imports the model modules it calls, so a subcommand
+# loads only those.
+if TYPE_CHECKING:
+    from .migration_planner import UtxoSnapshot
+    from .weight_model import NetworkParams
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -168,6 +145,15 @@ def emit_report(rows, fmt, round_to=None, destination=None) -> str:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads an argument that looks like a negative number as
+        # a value, not a flag.  Its pattern knows -1 and -.5 but not -1/2,
+        # so without this a negative p/q literal would never reach the
+        # range checks.
+        known = self._negative_number_matcher.pattern
+        self._negative_number_matcher = re.compile(rf"{known}|^-\d+/\d+$")
+
     # argparse exits with status 2 on bad flags; usage problems here are
     # exit 1, with 2 reserved for I/O, so route errors through ValueError.
     def error(self, message):
@@ -193,6 +179,8 @@ def load_snapshot(path: str | None) -> UtxoSnapshot:
     Decimal literals are read as exact fractions, so ``0.3`` is 3/10.
     ``UtxoSnapshot`` checks the values.
     """
+    from .migration_planner import DEFAULT_SNAPSHOT, UtxoSnapshot
+
     if path is None:
         return DEFAULT_SNAPSHOT
     with open(path, encoding="utf-8") as handle:
@@ -227,6 +215,8 @@ def _resolve_seed(flag_value: int | None) -> int:
 
 
 def _params(args) -> NetworkParams:
+    from .weight_model import DEFAULT_PARAMS
+
     if getattr(args, "include_reserves", False):
         return replace(DEFAULT_PARAMS, apply_reserves=True)
     return DEFAULT_PARAMS
@@ -236,6 +226,15 @@ def _params(args) -> NetworkParams:
 
 
 def _cmd_capacity(args):
+    from .block_packer import (
+        PackingMode,
+        UpgradeScheme,
+        fixed_overhead,
+        per_block_capacity,
+        per_input_weight,
+        standalone_upgrade_weight,
+    )
+
     params = _params(args)
     rows = []
     for scheme, label in (
@@ -266,6 +265,13 @@ def _cmd_capacity(args):
 
 
 def _schedule_rows(snapshot, bandwidths, style_name, params):
+    from .block_packer import UpgradeScheme
+    from .migration_planner import (
+        EveryKthBlock,
+        FractionOfEachBlock,
+        throttled_schedule,
+    )
+
     rows = []
     for scheme in (UpgradeScheme.ECDSA_SEGWIT, UpgradeScheme.SCHNORR_TAPROOT):
         for bandwidth in bandwidths:
@@ -295,6 +301,8 @@ def _schedule_rows(snapshot, bandwidths, style_name, params):
 
 
 def _cmd_plan(args):
+    from .migration_planner import bandwidth_table, mixed_duration
+
     params = _params(args)
     snapshot = load_snapshot(args.snapshot)
     bandwidths = args.bandwidth
@@ -323,6 +331,14 @@ def _cmd_plan(args):
 
 
 def _cmd_attack(args):
+    from .jit_attack_sim import (
+        AttackScenario,
+        FixedInterval,
+        Memoryless,
+        QuantumAttacker,
+        sweep,
+    )
+
     clocks = args.clock_hz if args.clock_hz is not None else list(DEFAULT_CLOCKS)
     seed = _resolve_seed(args.seed)
     mining = FixedInterval() if args.mining == "fixed" else Memoryless()
@@ -352,6 +368,14 @@ def _cmd_attack(args):
 
 
 def _cmd_impact(args):
+    from .pq_impact import (
+        PqScheme,
+        post_upgrade_transaction_weight,
+        signature_ratio,
+        throughput_slowdown,
+        transactions_per_block,
+    )
+
     params = _params(args)
     rows = []
     for scheme in (

@@ -59,7 +59,8 @@ class FieldEntry:
     count: int = 1
 
     def __post_init__(self) -> None:
-        # A whole number of fields: a float count raises TypeError.
+        # Whole bytes and a whole number of fields: a float raises TypeError.
+        object.__setattr__(self, "size_bytes", operator.index(self.size_bytes))
         object.__setattr__(self, "count", operator.index(self.count))
         if self.size_bytes < 0:
             raise ValueError(f"size_bytes must be >= 0, got {self.size_bytes}")

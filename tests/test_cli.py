@@ -197,6 +197,21 @@ def test_plan_schedule_k_rejects_bandwidth_as_not_a_unit_fraction(capsys, text):
     assert f"bandwidth: every-kth scheduling needs a unit fraction (1/k), got {text}" in err
 
 
+@pytest.mark.parametrize("text", ["-1/2", "-0.5"])
+@pytest.mark.parametrize(
+    "flag, message",
+    [
+        ("--bandwidth", "bandwidth must be in (0, 1], got -1/2"),
+        ("--schnorr-fraction", "schnorr_fraction must be a real number in [0, 1], got -1/2"),
+    ],
+)
+def test_plan_negative_value_after_a_space_reaches_the_range_check(capsys, flag, message, text):
+    # argparse must read the value as the flag's argument, not as a flag.
+    code, out, err = run_capture(capsys, ["plan", flag, text])
+    assert code == 1 and out == ""
+    assert err == f"qsafe: error: {message}\n"
+
+
 def test_snapshot_file_round_trip(tmp_path, capsys):
     path = tmp_path / "snap.json"
     path.write_text(

@@ -1,60 +1,115 @@
-"""What ``import qsafe`` exposes, and that numpy is loaded only when a
-Monte Carlo draw runs.
+"""What ``import qsafe`` exposes, which modules each subcommand loads,
+and that numpy is loaded only when a Monte Carlo draw runs.
 
-Each numpy check runs in a fresh interpreter, because this test process
-has long since imported numpy.
+Each load check runs in a fresh interpreter, because this test process
+has long since imported every qsafe module and numpy.
 """
 
+import json
 import subprocess
 import sys
 
 import pytest
 
+import qsafe
+
 PROBE = """
-import sys
+import json, sys
 import qsafe
 argv = {argv!r}
 if argv is not None:
     import contextlib, io
     with contextlib.redirect_stdout(io.StringIO()):
         assert qsafe.cli_report.run(argv) == 0
-print("numpy" in sys.modules)
+{then}
+print(json.dumps({{
+    "numpy": "numpy" in sys.modules,
+    "qsafe": sorted(name for name in sys.modules if name.startswith("qsafe.")),
+}}))
 """
 
 
-def numpy_loaded_after(argv) -> bool:
+def loaded_after(argv, then="") -> dict:
+    """The numpy flag and the ``qsafe.*`` modules a fresh interpreter has
+    loaded after ``import qsafe``, a ``run(argv)`` and the code ``then``.
+
+    ``qsafe.cli_report`` is what the probe itself calls ``run`` through.
+    """
     result = subprocess.run(
-        [sys.executable, "-c", PROBE.format(argv=argv)],
+        [sys.executable, "-c", PROBE.format(argv=argv, then=then)],
         capture_output=True,
         text=True,
         check=True,
     )
-    return result.stdout.strip() == "True"
+    loaded = json.loads(result.stdout)
+    loaded["qsafe"] = {name.removeprefix("qsafe.") for name in loaded["qsafe"]}
+    return loaded
+
+
+CAPACITY = {"cli_report", "weight_model", "block_packer"}
+PLAN = CAPACITY | {"migration_planner"}
+IMPACT = CAPACITY | {"pq_impact"}
+ATTACK = {"cli_report", "jit_attack_sim"}
+
+EXACT_RUNS = [
+    (["capacity"], CAPACITY),
+    (["capacity", "--include-reserves"], CAPACITY),
+    (["plan"], PLAN),
+    (["plan", "--schnorr-fraction", "0.3"], PLAN),
+    (["plan", "--schedule", "fraction", "--bandwidth", "1/2"], PLAN),
+    (["impact"], IMPACT),
+]
+EXACT_IDS = ["capacity", "capacity-reserves", "plan", "plan-mixed", "plan-schedule", "impact"]
+
+
+def test_import_loads_no_submodule_and_no_numpy():
+    assert loaded_after(None) == {"numpy": False, "qsafe": set()}
+
+
+@pytest.mark.parametrize("argv, modules", EXACT_RUNS, ids=EXACT_IDS)
+def test_exact_subcommands_load_only_their_modules_and_never_numpy(argv, modules):
+    assert loaded_after(argv) == {"numpy": False, "qsafe": modules}
+
+
+def test_attack_loads_only_the_race_model_and_numpy_on_its_first_draw():
+    assert loaded_after(["attack", "--trials", "10"]) == {"numpy": True, "qsafe": ATTACK}
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "then, modules",
     [
-        None,
-        ["capacity"],
-        ["plan"],
-        ["plan", "--schnorr-fraction", "0.3"],
-        ["plan", "--schedule", "fraction", "--bandwidth", "1/2"],
-        ["impact"],
+        ("qsafe.FieldKind", {"weight_model"}),
+        ("qsafe.round_half_up", {"cli_report"}),
+        ("qsafe.pq_impact", {"pq_impact", "weight_model", "block_packer"}),
+        ("import qsafe.jit_attack_sim", {"jit_attack_sim"}),
     ],
-    ids=["import", "capacity", "plan", "plan-mixed", "plan-schedule", "impact"],
 )
-def test_exact_paths_never_load_numpy(argv):
-    assert not numpy_loaded_after(argv)
+def test_a_name_loads_only_its_module_and_what_that_imports(then, modules):
+    assert loaded_after(None, then) == {"numpy": False, "qsafe": modules}
 
 
-def test_attack_loads_numpy_on_its_first_draw():
-    assert numpy_loaded_after(["attack", "--trials", "10"])
-
-
-def test_public_names_resolve_once():
-    import qsafe
-
-    assert len(set(qsafe.__all__)) == len(qsafe.__all__)
+def test_public_names_are_the_defining_modules_own():
+    assert len(qsafe.__all__) == len(set(qsafe.__all__)) == 52
     for name in qsafe.__all__:
-        assert getattr(qsafe, name) is not None
+        value = getattr(qsafe, name)
+        home = value.__module__  # an instance reports its class's module
+        assert home.startswith("qsafe.")
+        assert value is getattr(sys.modules[home], name)
+        assert vars(qsafe)[name] is value  # cached after the first use
+
+
+def test_dir_lists_every_public_name():
+    assert set(qsafe.__all__) <= set(dir(qsafe))
+    assert {"cli_report", "jit_attack_sim", "__version__"} <= set(dir(qsafe))
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from qsafe import *", namespace)
+    for name in qsafe.__all__:
+        assert namespace[name] is getattr(qsafe, name)
+
+
+def test_unknown_attribute_names_itself():
+    with pytest.raises(AttributeError, match="'qsafe' has no attribute 'no_such_name'"):
+        qsafe.no_such_name

@@ -135,6 +135,8 @@ def test_field_entry_rejects_negative_size():
         FieldEntry(FieldKind.INPUT, 42, -1)
     with pytest.raises(TypeError):
         FieldEntry(FieldKind.INPUT, 42, 1.5)
+    with pytest.raises(TypeError):
+        FieldEntry(FieldKind.INPUT, 1.5)
 
 
 def test_default_params():
