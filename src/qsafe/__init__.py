@@ -34,8 +34,8 @@ _EXPORTS = {
         "lower_bound_duration", "mixed_duration", "throttled_schedule",
     ),
     "jit_attack_sim": (
-        "AttackScenario", "FeePolicy", "FixedInterval", "InvalidClock",
-        "Memoryless", "QuantumAttacker", "break_duration", "race_win_count",
+        "AttackScenario", "FixedInterval", "InvalidClock", "Memoryless",
+        "QuantumAttacker", "break_duration", "race_win_count",
         "success_probability_closed_form", "success_probability_monte_carlo",
         "sweep",
     ),

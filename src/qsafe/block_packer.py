@@ -76,10 +76,15 @@ def per_block_capacity(
     mode: PackingMode = PackingMode.MEGA_TRANSACTION,
     params: NetworkParams = DEFAULT_PARAMS,
 ) -> int:
-    """UTXO upgrades that fit in one block under the given strategy."""
+    """UTXO upgrades that fit in one block under the given strategy; at
+    least 1, or InfeasibleBlock."""
     if mode is PackingMode.MEGA_TRANSACTION:
-        return mega_capacity(per_input_weight(scheme), fixed_overhead(scheme), params)
-    return params.usable_block_weight() // standalone_upgrade_weight()
+        capacity = mega_capacity(per_input_weight(scheme), fixed_overhead(scheme), params)
+    else:
+        capacity = params.usable_block_weight() // standalone_upgrade_weight()
+    if capacity < 1:
+        raise InfeasibleBlock(f"per-block capacity is zero for {scheme.value}/{mode.value}")
+    return capacity
 
 
 def blocks_required(
@@ -92,11 +97,4 @@ def blocks_required(
     if n_utxos < 0:
         raise ValueError(f"n_utxos must be >= 0, got {n_utxos}")
     capacity = per_block_capacity(scheme, mode, params)
-    if capacity < 1:
-        raise InfeasibleBlock(
-            f"per-block capacity is zero for {scheme.value}/{mode.value}"
-        )
-    if n_utxos == 0:
-        return 0
     return (n_utxos + capacity - 1) // capacity
-

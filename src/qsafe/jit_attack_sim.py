@@ -14,17 +14,22 @@ Poisson-mining picture).  Both default to a 600 s mean.
 
 Randomness discipline: trials draw from a counter-based Philox stream
 keyed by (seed, stream).  Trial i owns counter block i and reads the
-first 64-bit word of that block, turned into a double in [0, 1) exactly
-as numpy's ``Generator.random`` does (top 53 bits times 2**-53).  Any
-contiguous range of trials can therefore be generated independently and
-merged by summing win counts, bit-identical to a single serial run.
-``race_win_count`` uses this itself: it draws its range in steps, with
-one worker thread per usable CPU taking the next step as soon as it is
-free, each through its own bit generator advanced to that step.  Counts
-are the same whatever the CPU count and whichever worker draws a step,
-and equal those of drawing the whole range at once.  At most
-``_CHUNK_TRIALS`` trials are in flight across all workers, so memory is
-bounded whatever the trial count and the CPU count.
+first 64-bit word of that block; its top 53 bits k are the trial's
+uniform k * 2**-53, the double numpy's ``Generator.random`` gives.  The
+first-block time is monotone in that uniform, so the trials a row's
+attacker wins are exactly those with k on one side of an integer edge K,
+which ``_win_edge`` finds once per row by bisecting the float rule over
+k.  A trial is then decided by one integer compare of its raw word, and
+a row where every trial decides alike draws nothing.  Any contiguous
+range of trials can be counted independently and merged by summing win
+counts, bit-identical to a single serial run.  ``race_win_count`` uses
+this itself: it draws its range in steps, with one worker thread per
+usable CPU taking the next step as soon as it is free, each through its
+own bit generator advanced to that step.  Counts are the same whatever
+the CPU count and whichever worker draws a step, and equal those of
+drawing the whole range at once.  At most ``_CHUNK_TRIALS`` trials are
+in flight across all workers, so memory is bounded whatever the trial
+count and the CPU count.
 
 numpy is imported by the functions that draw, not by this module, so
 importing qsafe and running its exact subcommands never loads it.
@@ -36,7 +41,6 @@ import math
 import os
 import threading
 from dataclasses import dataclass, replace
-from enum import Enum
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -116,16 +120,10 @@ class Memoryless:
 MiningModel = FixedInterval | Memoryless
 
 
-class FeePolicy(Enum):
-    ATTACKER_OUTBIDS = "attacker-outbids"
-    VICTIM_WINS_TIES = "victim-wins-ties"
-
-
 @dataclass(frozen=True)
 class AttackScenario:
     attacker: QuantumAttacker
     mining: MiningModel
-    fee_policy: FeePolicy = FeePolicy.ATTACKER_OUTBIDS
 
 
 def break_duration(attacker: QuantumAttacker) -> float:
@@ -137,9 +135,7 @@ def break_duration(attacker: QuantumAttacker) -> float:
 def success_probability_closed_form(scenario: AttackScenario) -> float:
     """Exact attacker-win probability for the scenario's mining model.
 
-    FixedInterval: max(0, 1 - T/B).  Memoryless: exp(-T/B).  The two fee
-    policies differ only on the zero-probability event of an exact tie,
-    so the value is the same for both.
+    FixedInterval: max(0, 1 - T/B).  Memoryless: exp(-T/B).
     """
     t_break = break_duration(scenario.attacker)
     mining = scenario.mining
@@ -148,7 +144,7 @@ def success_probability_closed_form(scenario: AttackScenario) -> float:
     return math.exp(-t_break / mining.mean_blocktime_seconds)
 
 
-# Philox emits 4 64-bit words per counter increment; each trial owns one
+# Philox emits 4 64-bit words per counter block; each trial owns one
 # counter block and uses only its first word.
 _WORDS_PER_BLOCK = 4
 
@@ -173,42 +169,39 @@ def _philox(seed: int, stream: int, start: int = 0) -> np.random.Philox:
     return bitgen
 
 
-def _next_uniforms(bitgen: np.random.Philox, count: int) -> np.ndarray:
-    """Uniforms in [0, 1) of the next count trials of bitgen.
-
-    Each is numpy's Philox double, (word >> 11) * 2**-53, of the first
-    word of its trial's counter block: the value Generator.random gives.
-    """
-    import numpy as np
-
-    # The shift copies the first words out, so the 4-word draw is freed
-    # before the conversion, which then reuses the shifted words' memory.
-    words = bitgen.random_raw(count * _WORDS_PER_BLOCK)[::_WORDS_PER_BLOCK] >> 11
-    return np.multiply(words, 2.0**-53, out=words.view(np.float64))
-
-
-def _first_block_times(mining: MiningModel, uniforms: np.ndarray) -> np.ndarray:
-    """First-block times of the trials, computed in place over uniforms."""
+def _first_block_times(mining: MiningModel, uniforms):
+    """First-block times of trials with the given uniforms in [0, 1)."""
     import numpy as np
 
     if isinstance(mining, FixedInterval):
         b = mining.blocktime_seconds
-        # b - uniforms * b: uniform broadcast offset in [0, B)
-        np.multiply(uniforms, b, out=uniforms)
-        return np.subtract(b, uniforms, out=uniforms)
-    b = mining.mean_blocktime_seconds
-    # -b * log1p(-uniforms): inverse CDF; exactly one draw per trial
-    np.negative(uniforms, out=uniforms)
-    np.log1p(uniforms, out=uniforms)
-    return np.multiply(-b, uniforms, out=uniforms)
+        return b - uniforms * b  # uniform broadcast offset in [0, B)
+    # inverse CDF; exactly one draw per trial
+    return -mining.mean_blocktime_seconds * np.log1p(-uniforms)
 
 
-def _attacker_wins(
-    fee_policy: FeePolicy, t_break: float, first_block: float | np.ndarray
-) -> bool | np.ndarray:
-    if fee_policy is FeePolicy.ATTACKER_OUTBIDS:
-        return t_break <= first_block
-    return t_break < first_block
+def _win_edge(mining: MiningModel, t_break: float) -> tuple[int, bool]:
+    """The edge K and side below of the trials the attacker wins.
+
+    The attacker, outbidding on fees, wins when the break ends no later
+    than the first block: t_break <= first block time.  That time is
+    monotone in the trial's k, so trial k wins exactly when
+    (k < K) == below.  K is 2**53 when every trial decides alike.
+    """
+    import numpy as np
+
+    def wins(k: int) -> bool:
+        return bool(t_break <= _first_block_times(mining, np.float64(k) * 2.0**-53))
+
+    below = wins(0)
+    lo, hi = 0, 1 << 53  # wins(lo) == below, and K <= hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if wins(mid) == below:
+            lo = mid
+        else:
+            hi = mid
+    return hi, below
 
 
 def _usable_cpus() -> int:
@@ -232,33 +225,36 @@ def _workers(start: int, stop: int) -> tuple[int, int]:
     return workers, _CHUNK_TRIALS // workers
 
 
-def _worker_wins(
-    scenario: AttackScenario, t_break: float, seed: int, stream: int,
+def _worker_below(
+    edge: int, seed: int, stream: int,
     next_step: Callable[[], int | None], stop: int, step: int,
 ) -> int:
-    """Attacker wins over the steps next_step hands this worker.
+    """Trials below edge over the steps next_step hands this worker.
 
     Steps come in increasing order, so one bit generator, advanced past
     the steps other workers took, serves them all.
     """
     import numpy as np
 
-    bitgen, position, wins = None, 0, 0
+    # A word is its trial's k followed by 11 more bits, so k < edge
+    # exactly when the word is below edge << 11.
+    word_edge = np.uint64(edge << 11)
+    bitgen, position, below = None, 0, 0
     for step_start in iter(next_step, None):
         if bitgen is None:
             bitgen = _philox(seed, stream, step_start)
         elif step_start != position:
             bitgen.advance(step_start - position)
         count = min(step, stop - step_start)
-        first_block = _first_block_times(scenario.mining, _next_uniforms(bitgen, count))
-        won = _attacker_wins(scenario.fee_policy, t_break, first_block)
-        wins += int(np.count_nonzero(won))
+        # Draw and compare in one expression, so the step's words are
+        # freed before the next draw.  Kept alive, they can push the free
+        # top of the heap past malloc's trim threshold, and the pages it
+        # gives back are then faulted in again each step.
+        below += int(np.count_nonzero(
+            bitgen.random_raw(count * _WORDS_PER_BLOCK)[::_WORDS_PER_BLOCK] < word_edge
+        ))
         position = step_start + count
-        # Free this step's arrays before the next draw.  Kept alive, they
-        # can push the free top of the heap past malloc's trim threshold,
-        # and the pages it gives back are then faulted in again each step.
-        del first_block, won
-    return wins
+    return below
 
 
 def race_win_count(
@@ -279,7 +275,9 @@ def race_win_count(
         raise ValueError(f"need 0 <= start <= stop, got [{start}, {stop})")
     # Workers call private helpers only, so wrappers around the public
     # functions see one call per race_win_count, from this thread.
-    t_break = break_duration(scenario.attacker)
+    edge, below = _win_edge(scenario.mining, break_duration(scenario.attacker))
+    if edge == 1 << 53:  # every trial decides alike: nothing to draw
+        return stop - start if below else 0
     workers, step = _workers(start, stop)
     starts = iter(range(start, stop, step))
     lock = threading.Lock()
@@ -293,9 +291,7 @@ def race_win_count(
     def draw(index: int) -> None:
         nonlocal failed
         try:
-            results[index] = _worker_wins(
-                scenario, t_break, seed, stream, next_step, stop, step
-            )
+            results[index] = _worker_below(edge, seed, stream, next_step, stop, step)
         except BaseException as exc:  # raised below, once every worker is done
             failed = True
             results[index] = exc
@@ -313,15 +309,15 @@ def race_win_count(
     for result in results:
         if isinstance(result, BaseException):
             raise result
-    return sum(results)
+    return sum(results) if below else stop - start - sum(results)
 
 
 def success_probability_monte_carlo(
     scenario: AttackScenario, n_trials: int, seed: int, *, stream: int = 0
 ) -> tuple[float, float]:
     """Estimate the attacker-win probability and its binomial standard error."""
-    if n_trials < 1:
-        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
+    if n_trials < 1:  # named as the CLI's --trials flag
+        raise ValueError(f"trials must be >= 1, got {n_trials}")
     wins = race_win_count(scenario, seed, 0, n_trials, stream=stream)
     estimate = wins / n_trials
     std_error = math.sqrt(estimate * (1.0 - estimate) / n_trials)

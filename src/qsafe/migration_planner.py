@@ -17,7 +17,6 @@ from fractions import Fraction
 from numbers import Real
 
 from .block_packer import (
-    InfeasibleBlock,
     PackingMode,
     UpgradeScheme,
     blocks_required,
@@ -219,8 +218,6 @@ def throttled_schedule(
     one partial tail, so the cost does not depend on k or the pool size.
     """
     capacity = per_block_capacity(scheme, PackingMode.MEGA_TRANSACTION, params)
-    if capacity < 1:
-        raise InfeasibleBlock(f"per-block capacity is zero for {scheme.value}")
     if isinstance(schedule_style, EveryKthBlock):
         stride, share = schedule_style.k, capacity
     else:

@@ -19,7 +19,7 @@ from .weight_model import (
     single_in_single_out,
     transaction_weight,
 )
-from .block_packer import PackingMode, UpgradeScheme, per_block_capacity
+from .block_packer import InfeasibleBlock, PackingMode, UpgradeScheme, per_block_capacity
 
 
 class PqScheme(Enum):
@@ -80,9 +80,15 @@ def throughput_slowdown(
 
     Always at most signature_ratio(scheme): non-witness weight is shared
     and witness bytes count single, so capacity shrinks slower than the
-    signatures grow.
+    signatures grow.  InfeasibleBlock if either transaction does not fit.
     """
     baseline = per_block_capacity(
         UpgradeScheme.ECDSA_SEGWIT, PackingMode.ONE_PER_TRANSACTION, params
     )
-    return Fraction(baseline, transactions_per_block(scheme, params))
+    per_block = transactions_per_block(scheme, params)
+    if per_block < 1:
+        raise InfeasibleBlock(
+            f"a {post_upgrade_transaction_weight(scheme)}-WU {scheme.value} transaction "
+            f"does not fit the usable block weight {params.usable_block_weight()}"
+        )
+    return Fraction(baseline, per_block)

@@ -80,6 +80,19 @@ def test_mega_capacity_rejects_bad_inputs():
         mega_capacity(235, 210, NetworkParams(block_weight_limit=210))
 
 
+@pytest.mark.parametrize("mode", [MEGA, ONE], ids=["mega", "one-per-tx"])
+@pytest.mark.parametrize("limit", [300, 444])
+def test_capacity_below_one_upgrade_raises(mode, limit):
+    # 300 WU fits the 210-WU mega overhead but no 235-WU input; 444 WU is
+    # one short of a standalone upgrade.  Neither may report capacity 0.
+    params = NetworkParams(block_weight_limit=limit)
+    assert mega_capacity(per_input_weight(ECDSA), fixed_overhead(ECDSA), params) == 0
+    with pytest.raises(InfeasibleBlock):
+        per_block_capacity(ECDSA, mode, params)
+    with pytest.raises(InfeasibleBlock):
+        blocks_required(1, ECDSA, mode, params)
+
+
 def test_blocks_required_exact_counts():
     assert blocks_required(186_676_874, ECDSA, MEGA) == 10_969
     assert blocks_required(186_676_874, SCHNORR, MEGA) == 7_842

@@ -370,7 +370,9 @@ def test_attack_bad_env_seed(monkeypatch, capsys):
 
 
 def test_attack_validation(capsys):
-    assert run_capture(capsys, ["attack", "--trials", "0"])[0] == 1
+    assert run_capture(capsys, ["attack", "--trials", "0"]) == (
+        1, "", "qsafe: error: trials must be >= 1, got 0\n"
+    )
     assert run_capture(capsys, ["attack", "--trials", "-5"])[0] == 1
     assert run_capture(capsys, ["attack", "--clock-hz", "0"])[0] == 1
     assert run_capture(capsys, ["attack", "--key-bits", "-1"])[0] == 1

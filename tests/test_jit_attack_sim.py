@@ -1,20 +1,19 @@
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qsafe.jit_attack_sim import (
     AttackScenario,
-    FeePolicy,
     FixedInterval,
     InvalidClock,
     Memoryless,
     QuantumAttacker,
-    _attacker_wins,
     _first_block_times,
-    _next_uniforms,
     _philox,
+    _win_edge,
     break_duration,
     race_win_count,
     success_probability_closed_form,
@@ -103,9 +102,15 @@ def test_closed_form_is_monotone_in_clock():
     assert values == sorted(values)
 
 
+def first_words(seed, n):
+    """First words of trials 0..n-1 of the seed's stream 0, drawn the way
+    race_win_count draws them."""
+    return _philox(seed, 0).random_raw(4 * n)[::4]
+
+
 def first_block_times(mining, seed, n):
     """First-block times of trials 0..n-1 of the seed's stream 0."""
-    return _first_block_times(mining, _next_uniforms(_philox(seed, 0), n))
+    return _first_block_times(mining, (first_words(seed, n) >> 11) * 2.0**-53)
 
 
 def test_first_block_times_are_deterministic():
@@ -119,23 +124,22 @@ def test_first_block_times_depend_on_seed():
     assert len(times) == 8
 
 
-def test_exact_tie_goes_by_fee_policy():
-    assert _attacker_wins(FeePolicy.ATTACKER_OUTBIDS, 65.536, 65.536)
-    assert not _attacker_wins(FeePolicy.VICTIM_WINS_TIES, 65.536, 65.536)
-    assert _attacker_wins(FeePolicy.ATTACKER_OUTBIDS, 0.0, 0.0)
-    assert not _attacker_wins(FeePolicy.VICTIM_WINS_TIES, 0.0, 0.0)
+def test_exact_tie_goes_to_the_attacker():
+    # Trial 0's first block is exactly one interval away, and a break of
+    # one interval still wins it, so the edge is 1 and not 0.
+    tie = QuantumAttacker(0, overhead_seconds=600.0)
+    assert _win_edge(FixedInterval(), break_duration(tie)) == (1, True)
+    # An instant break ties trial 0's block at 0 seconds and wins it.
+    assert _win_edge(Memoryless(), 0.0) == (2**53, True)
 
 
 def test_winner_follows_tie_rule():
     t_break = break_duration(BASELINE)
-    for policy, rule in (
-        (FeePolicy.ATTACKER_OUTBIDS, lambda t, b: t <= b),
-        (FeePolicy.VICTIM_WINS_TIES, lambda t, b: t < b),
-    ):
-        for mining in (FixedInterval(), Memoryless()):
-            times = first_block_times(mining, 3, 40)
-            won = _attacker_wins(policy, t_break, times)
-            assert list(won) == [rule(t_break, b) for b in times]
+    for mining in (FixedInterval(), Memoryless()):
+        edge, below = _win_edge(mining, t_break)
+        times = first_block_times(mining, 3, 40)
+        on_edge_side = [(k < edge) == below for k in (first_words(3, 40) >> 11).tolist()]
+        assert on_edge_side == [t_break <= b for b in times]
 
 
 def test_first_block_time_ranges():
@@ -199,18 +203,8 @@ def test_monte_carlo_certain_outcomes():
 
 def test_monte_carlo_rejects_bad_trials():
     scenario = AttackScenario(BASELINE, Memoryless())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^trials must be >= 1, got 0$"):
         success_probability_monte_carlo(scenario, 0, seed=1)
-
-
-def test_fee_policies_agree_off_ties():
-    # exact break/block ties have measure zero, so the tie rule does not
-    # move the counts on any realistic draw
-    for policy in (FeePolicy.ATTACKER_OUTBIDS, FeePolicy.VICTIM_WINS_TIES):
-        scenario = AttackScenario(BASELINE, Memoryless(), fee_policy=policy)
-        assert race_win_count(scenario, seed=13, start=0, stop=20_000) == race_win_count(
-            AttackScenario(BASELINE, Memoryless()), seed=13, start=0, stop=20_000
-        )
 
 
 def test_sweep_rows_and_reproducibility():
@@ -290,3 +284,58 @@ def test_closed_form_is_a_probability_for_every_accepted_input(
     attacker = QuantumAttacker(key_bits, effective_clock_hz=clock_hz, overhead_seconds=overhead)
     mining = Memoryless(blocktime) if memoryless else FixedInterval(blocktime)
     assert 0.0 <= success_probability_closed_form(AttackScenario(attacker, mining)) <= 1.0
+
+
+def pipeline_wins(mining, t_break, ks):
+    """The float rule over one bulk array: k * 2**-53, first-block time,
+    then the outbid compare."""
+    uniforms = np.array(ks, dtype=np.uint64) * 2.0**-53
+    return (t_break <= _first_block_times(mining, uniforms)).tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    key_bits=st.integers(0, 512),
+    clock_hz=st.floats(1.0, 1e9),
+    overhead_blocks=st.floats(0.0, 2.0),
+    blocktime=st.floats(1.0, 1e5),
+    memoryless=st.booleans(),
+    ks=st.lists(st.integers(0, 2**53 - 1), min_size=8, max_size=64),
+)
+@example(key_bits=256, clock_hz=1000.0, overhead_blocks=0.0, blocktime=600.0,
+         memoryless=True, ks=[0] * 8)
+@example(key_bits=0, clock_hz=1.0, overhead_blocks=1.0, blocktime=600.0,
+         memoryless=False, ks=[0] * 8)
+def test_win_edge_agrees_with_the_float_rule(
+    key_bits, clock_hz, overhead_blocks, blocktime, memoryless, ks
+):
+    attacker = QuantumAttacker(
+        key_bits, effective_clock_hz=clock_hz, overhead_seconds=overhead_blocks * blocktime
+    )
+    mining = Memoryless(blocktime) if memoryless else FixedInterval(blocktime)
+    t_break = break_duration(attacker)
+    edge, below = _win_edge(mining, t_break)
+    assert 1 <= edge <= 2**53
+    ks = [k for k in range(edge - 2, edge + 3) if 0 <= k < 2**53] + ks
+    assert pipeline_wins(mining, t_break, ks) == [(k < edge) == below for k in ks]
+
+
+@pytest.mark.parametrize("mining", [FixedInterval(), Memoryless()], ids=["fixed", "memoryless"])
+def test_win_edge_gives_the_closed_form(mining):
+    edge, below = _win_edge(mining, break_duration(BASELINE))
+    sampled = (edge if below else 2**53 - edge) / 2**53
+    exact = success_probability_closed_form(AttackScenario(BASELINE, mining))
+    assert abs(sampled - exact) <= 2**-53
+
+
+def test_certain_rows_draw_nothing(monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a certain row drew trials")
+
+    monkeypatch.setattr("qsafe.jit_attack_sim._philox", no_draws)
+    hopeless = AttackScenario(
+        QuantumAttacker(key_bits=256, effective_clock_hz=100.0), FixedInterval()
+    )
+    assert race_win_count(hopeless, seed=1, start=0, stop=10**12) == 0
+    instant = AttackScenario(QuantumAttacker(key_bits=0), Memoryless())
+    assert race_win_count(instant, seed=1, start=5, stop=10**12) == 10**12 - 5

@@ -18,11 +18,9 @@ from qsafe.jit_attack_sim import (
     _CHUNK_TRIALS,
     _MIN_STEP_TRIALS,
     AttackScenario,
-    FeePolicy,
     FixedInterval,
     Memoryless,
     QuantumAttacker,
-    _next_uniforms,
     _philox,
     _workers,
     race_win_count,
@@ -44,17 +42,23 @@ def reference_uniforms(seed, stream, start, count):
     return np.random.Generator(bitgen).random(4 * count)[::4]
 
 
+def next_uniforms(bitgen, count):
+    """Uniforms of the next count trials, converted from the first words
+    race_win_count draws: (word >> 11) * 2**-53."""
+    return (bitgen.random_raw(4 * count)[::4] >> 11) * 2.0**-53
+
+
 @pytest.mark.parametrize("seed", [42, -1, -(2**70) + 3, 2**128, 2**128 + 42, 2**200 + 5])
 @pytest.mark.parametrize("stream", [0, 1])
 @pytest.mark.parametrize("start", [0, 1, 70_000])
 def test_uniforms_match_reference_stream_bit_for_bit(seed, stream, start):
     for count in COUNTS:
         expected = reference_uniforms(seed, stream, start, count).tobytes()
-        whole = _next_uniforms(_philox(seed, stream, start), count)
+        whole = next_uniforms(_philox(seed, stream, start), count)
         assert whole.tobytes() == expected
         # drawn the way race_win_count draws: successive chunks of one bit generator
         bitgen = _philox(seed, stream, start)
-        chunks = [_next_uniforms(bitgen, min(CHUNK, count - at)) for at in range(0, count, CHUNK)]
+        chunks = [next_uniforms(bitgen, min(CHUNK, count - at)) for at in range(0, count, CHUNK)]
         assert np.concatenate(chunks).tobytes() == expected
 
 
@@ -139,22 +143,20 @@ def with_lengths(workers):
 @given(
     workers_length=st.sampled_from([2, 3, 5]).flatmap(with_lengths),
     mining=st.sampled_from([FixedInterval(), Memoryless()]),
-    fee_policy=st.sampled_from(list(FeePolicy)),
     seed=st.integers(-(2**130), 2**130),
     stream=st.integers(0, 3),
     start=st.one_of(st.integers(0, 3 * CHUNK), st.sampled_from([CHUNK - 1, CHUNK])),
 )
-@example(workers_length=(2, CHUNK), mining=Memoryless(),
-         fee_policy=FeePolicy.ATTACKER_OUTBIDS, seed=42, stream=0, start=0)
+@example(workers_length=(2, CHUNK), mining=Memoryless(), seed=42, stream=0, start=0)
 @example(workers_length=(3, 3 * (CHUNK // 3) + 1), mining=FixedInterval(),
-         fee_policy=FeePolicy.VICTIM_WINS_TIES, seed=-7, stream=3, start=CHUNK - 1)
+         seed=-7, stream=3, start=CHUNK - 1)
 @example(workers_length=(5, CHUNK // 5 - 1), mining=FixedInterval(),
-         fee_policy=FeePolicy.ATTACKER_OUTBIDS, seed=1, stream=1, start=70_000)
+         seed=1, stream=1, start=70_000)
 def test_win_counts_do_not_depend_on_the_worker_count(
-    workers_length, mining, fee_policy, seed, stream, start
+    workers_length, mining, seed, stream, start
 ):
     workers, length = workers_length
-    scenario = AttackScenario(BASELINE, mining, fee_policy)
+    scenario = AttackScenario(BASELINE, mining)
     with usable_cpus(1):
         expected = race_win_count(scenario, seed, start, start + length, stream=stream)
     with usable_cpus(workers):

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from qsafe.block_packer import InfeasibleBlock
 from qsafe.pq_impact import (
     PqScheme,
     post_upgrade_layout,
@@ -88,6 +89,15 @@ def test_reserves_reduce_capacity():
     for scheme in PqScheme:
         assert transactions_per_block(scheme, params) <= transactions_per_block(scheme)
         assert throughput_slowdown(scheme, params) >= 1
+
+
+def test_slowdown_of_a_transaction_that_does_not_fit_raises():
+    # 11 ECDSA transactions fit 5000 WU; one 8237-WU SPHINCS+ one does not.
+    params = NetworkParams(block_weight_limit=5000)
+    assert transactions_per_block(PqScheme.SPHINCS_PLUS, params) == 0
+    with pytest.raises(InfeasibleBlock, match="8237-WU sphincs-plus transaction"):
+        throughput_slowdown(PqScheme.SPHINCS_PLUS, params)
+    assert throughput_slowdown(PqScheme.FALCON, params) == Fraction(11, 4)  # 1047 WU fits 4
 
 
 def test_layout_weight_consistency():
