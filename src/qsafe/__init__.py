@@ -20,8 +20,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "weight_model": (
         "DEFAULT_PARAMS", "FieldKind", "NetworkParams", "TransactionLayout",
-        "cumulative_weights", "ecdsa_mega", "field_weight", "schnorr_mega",
-        "single_in_single_out", "transaction_weight",
+        "cumulative_weights", "ecdsa_mega", "schnorr_mega", "single_in_single_out",
+        "transaction_weight",
     ),
     "block_packer": (
         "InfeasibleBlock", "PackingMode", "UpgradeScheme", "blocks_required",
@@ -43,10 +43,7 @@ _EXPORTS = {
         "PqScheme", "post_upgrade_layout", "post_upgrade_transaction_weight",
         "signature_ratio", "throughput_slowdown", "transactions_per_block",
     ),
-    "cli_report": (
-        "ReportFormat", "emit_report", "load_snapshot", "render_report",
-        "round_half_up", "run",
-    ),
+    "cli_report": ("load_snapshot", "render_report", "round_half_up", "run"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -3,7 +3,10 @@
 Capacities are derived from the layouts in :mod:`qsafe.weight_model`
 rather than hard-coded: the per-input cost of a packing strategy is the
 weight difference between its mega layout at one input and at zero, and
-the fixed overhead is the zero-input weight.
+the fixed overhead is the zero-input weight.  :func:`mega_capacity` is
+the one rule for how many of something fit a block; one standalone
+transaction per upgrade is the same rule with no overhead, and
+:mod:`qsafe.pq_impact` uses it for post-quantum transactions too.
 """
 
 from enum import Enum
@@ -60,13 +63,18 @@ def standalone_upgrade_weight() -> int:
 
 
 def mega_capacity(per_input: int, overhead: int, params: NetworkParams = DEFAULT_PARAMS) -> int:
-    """Largest input count whose mega transaction fits the usable block weight."""
+    """Largest input count whose mega transaction fits the usable block weight.
+
+    The one block-fit rule: with ``overhead`` 0 it is the number of
+    ``per_input``-WU transactions that fit one block.  It may be 0;
+    InfeasibleBlock if the overhead alone fills the usable weight.
+    """
     if per_input <= 0:
         raise ValueError(f"per_input must be positive, got {per_input}")
     usable = params.usable_block_weight()
     if usable <= overhead:
         raise InfeasibleBlock(
-            f"usable block weight {usable} cannot exceed the fixed overhead {overhead}"
+            f"usable block weight {usable} does not exceed the fixed overhead {overhead}"
         )
     return (usable - overhead) // per_input
 
@@ -79,9 +87,10 @@ def per_block_capacity(
     """UTXO upgrades that fit in one block under the given strategy; at
     least 1, or InfeasibleBlock."""
     if mode is PackingMode.MEGA_TRANSACTION:
-        capacity = mega_capacity(per_input_weight(scheme), fixed_overhead(scheme), params)
+        per_input, overhead = per_input_weight(scheme), fixed_overhead(scheme)
     else:
-        capacity = params.usable_block_weight() // standalone_upgrade_weight()
+        per_input, overhead = standalone_upgrade_weight(), 0
+    capacity = mega_capacity(per_input, overhead, params)
     if capacity < 1:
         raise InfeasibleBlock(f"per-block capacity is zero for {scheme.value}/{mode.value}")
     return capacity

@@ -7,10 +7,11 @@ Four subcommands, one per model surface:
   attack     key-theft race probabilities (closed form and Monte Carlo)
   impact     post-quantum signature weight and throughput cost
 
-Reports render as CSV, JSON, or a Markdown table.  Duration cells carry
-exact ``Fraction`` values until rendering: CSV and Markdown print
-hours/days half-up at 2 decimals, JSON keeps full precision.  Output is
-deterministic, so identical flags (and seed) give byte-identical bytes.
+Reports render in one of ``FORMATS``: CSV, JSON, or a Markdown table.
+Duration cells carry exact ``Fraction`` values until rendering: CSV and
+Markdown print the columns a handler names half-up at 2 decimals, JSON
+keeps full precision.  Output is deterministic, so identical flags (and
+seed) give identical bytes, and ``--out`` writes the bytes stdout would.
 The CLI does no arithmetic of its own beyond the hours-to-days unit
 conversion; every other cell comes straight from a library call.
 
@@ -27,7 +28,6 @@ import os
 import re
 import sys
 from dataclasses import replace
-from enum import Enum
 from fractions import Fraction
 from numbers import Rational
 from typing import TYPE_CHECKING
@@ -53,69 +53,56 @@ DEFAULT_TRIALS = 100_000
 # --- report rendering -------------------------------------------------
 
 
-class ReportFormat(Enum):
-    CSV = "csv"
-    JSON = "json"
-    MARKDOWN = "md"
+FORMATS = ("csv", "json", "md")
 
 
-def round_half_up(value, decimals: int = 2) -> str:
-    """Render a number with halves rounded up (toward +infinity).
+def round_half_up(value) -> str:
+    """Render a number at 2 decimals with halves rounded up (toward +infinity).
 
     Exact for int/Fraction inputs; floats are taken at their binary
     value.  Python's ``round`` and ``format`` both round half to even,
     which would misprint table cells landing exactly on a half.
     """
-    if decimals < 0:
-        raise ValueError(f"decimals must be >= 0, got {decimals}")
-    scaled = Fraction(value) * 10**decimals
-    n, d = scaled.numerator, scaled.denominator
-    units = (2 * n + d) // (2 * d)  # floor(scaled + 1/2)
-    sign = "-" if units < 0 else ""
-    units = abs(units)
-    if decimals == 0:
-        return f"{sign}{units}"
-    whole, frac = divmod(units, 10**decimals)
-    return f"{sign}{whole}.{frac:0{decimals}d}"
+    n, d = (Fraction(value) * 100).as_integer_ratio()
+    cents = (2 * n + d) // (2 * d)  # floor(100 * value + 1/2)
+    sign = "-" if cents < 0 else ""
+    whole, frac = divmod(abs(cents), 100)
+    return f"{sign}{whole}.{frac:02d}"
 
 
-def _cell_text(value, decimals) -> str:
-    if decimals is not None:
-        return round_half_up(value, decimals)
-    if isinstance(value, Enum):
-        return str(value.value)
+def _cell_text(value, rounded: bool) -> str:
+    if rounded:
+        return round_half_up(value)
     if isinstance(value, Rational) and not isinstance(value, int):
         return str(float(value))
     return str(value)
 
 
 def _cell_json(value):
-    if isinstance(value, Enum):
-        return value.value
     if isinstance(value, Rational) and not isinstance(value, int):
         return float(value)
     return value
 
 
-def render_report(rows, fmt, round_to=None) -> str:
-    """Render rows as text in the requested format, trailing newline included.
+def render_report(rows, fmt, rounded=()) -> str:
+    """Render rows as text in one of ``FORMATS``, trailing newline included.
 
-    The columns are the first row's keys, in order.  ``round_to`` maps
-    column names to decimal places for the textual formats; JSON ignores
-    it and keeps full numeric precision.
+    The columns are the first row's keys, in order.  ``rounded`` names
+    the columns that CSV and Markdown print half-up at 2 decimals; JSON
+    ignores it and keeps full numeric precision.
     """
-    fmt = ReportFormat(fmt)
+    if fmt not in FORMATS:
+        raise ValueError(f"format must be one of {', '.join(FORMATS)}, got {fmt!r}")
     if not rows:
         raise ValueError("rows must be non-empty")
     cols = list(rows[0])
-    round_to = dict(round_to or {})
 
-    if fmt is ReportFormat.JSON:
+    if fmt == "json":
         payload = [{col: _cell_json(row[col]) for col in cols} for row in rows]
         return json.dumps(payload, indent=2) + "\n"
 
-    cells = [[_cell_text(row[col], round_to.get(col)) for col in cols] for row in rows]
-    if fmt is ReportFormat.CSV:
+    cells = [[_cell_text(row[col], col in rounded) for col in cols] for row in rows]
+    if fmt == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(cols)
@@ -126,19 +113,6 @@ def render_report(rows, fmt, round_to=None) -> str:
     lines.append("| " + " | ".join("---" for _ in cols) + " |")
     lines.extend("| " + " | ".join(row) + " |" for row in cells)
     return "\n".join(lines) + "\n"
-
-
-def emit_report(rows, fmt, round_to=None, destination=None) -> str:
-    """Render and, when a destination path is given, also write the file.
-
-    The file is written with ``newline=""`` so its bytes match the
-    returned string exactly on every platform.
-    """
-    text = render_report(rows, fmt, round_to=round_to)
-    if destination is not None:
-        with open(destination, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-    return text
 
 
 # --- input parsing ----------------------------------------------------
@@ -227,41 +201,30 @@ def _params(args) -> NetworkParams:
 
 def _cmd_capacity(args):
     from .block_packer import (
-        PackingMode,
         UpgradeScheme,
         fixed_overhead,
-        per_block_capacity,
+        mega_capacity,
         per_input_weight,
         standalone_upgrade_weight,
     )
 
     params = _params(args)
-    rows = []
-    for scheme, label in (
-        (UpgradeScheme.ECDSA_SEGWIT, "ecdsa-mega"),
-        (UpgradeScheme.SCHNORR_TAPROOT, "schnorr-mega"),
-    ):
-        rows.append(
-            {
-                "strategy": label,
-                "per_input_wu": per_input_weight(scheme),
-                "overhead_wu": fixed_overhead(scheme),
-                "utxos_per_block": per_block_capacity(
-                    scheme, PackingMode.MEGA_TRANSACTION, params
-                ),
-            }
-        )
-    rows.append(
-        {
-            "strategy": "one-per-tx",
-            "per_input_wu": standalone_upgrade_weight(),
-            "overhead_wu": 0,
-            "utxos_per_block": per_block_capacity(
-                UpgradeScheme.ECDSA_SEGWIT, PackingMode.ONE_PER_TRANSACTION, params
-            ),
-        }
+    ecdsa, schnorr = UpgradeScheme.ECDSA_SEGWIT, UpgradeScheme.SCHNORR_TAPROOT
+    strategies = (
+        ("ecdsa-mega", per_input_weight(ecdsa), fixed_overhead(ecdsa)),
+        ("schnorr-mega", per_input_weight(schnorr), fixed_overhead(schnorr)),
+        ("one-per-tx", standalone_upgrade_weight(), 0),
     )
-    return rows, None
+    rows = [
+        {
+            "strategy": label,
+            "per_input_wu": per_input,
+            "overhead_wu": overhead,
+            "utxos_per_block": mega_capacity(per_input, overhead, params),
+        }
+        for label, per_input, overhead in strategies
+    ]
+    return rows, ()
 
 
 def _schedule_rows(snapshot, bandwidths, style_name, params):
@@ -297,7 +260,7 @@ def _schedule_rows(snapshot, bandwidths, style_name, params):
                     "duration_days": hours / 24,
                 }
             )
-    return rows, {"duration_hours": 2, "duration_days": 2}
+    return rows, {"duration_hours", "duration_days"}
 
 
 def _cmd_plan(args):
@@ -327,7 +290,7 @@ def _cmd_plan(args):
             hours = mixed_duration(snapshot, bandwidth, params)
             row["mixed_hours"] = hours
             row["mixed_days"] = hours / 24
-    return rows, {col: 2 for col in rows[0] if col != "bandwidth"}
+    return rows, set(rows[0]) - {"bandwidth"}
 
 
 def _cmd_attack(args):
@@ -364,7 +327,7 @@ def _cmd_attack(args):
                 "seed": seed,
             }
         )
-    return rows, None
+    return rows, ()
 
 
 def _cmd_impact(args):
@@ -393,7 +356,7 @@ def _cmd_impact(args):
                 "weight_slowdown": throughput_slowdown(scheme, params),
             }
         )
-    return rows, None
+    return rows, ()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -408,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument(
-            "--format", choices=["csv", "json", "md"], default="csv",
+            "--format", choices=FORMATS, default="csv",
             help="output format (default: csv)",
         )
         p.add_argument("--out", metavar="PATH", help="write output to a file")
@@ -489,8 +452,13 @@ def run(argv=None) -> int:
         print(f"qsafe: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        rows, round_to = args.handler(args)
-        text = emit_report(rows, args.format, round_to=round_to, destination=args.out)
+        rows, rounded = args.handler(args)
+        text = render_report(rows, args.format, rounded)
+        if args.out is not None:
+            # newline="" keeps the file's bytes equal to stdout's on
+            # every platform.
+            with open(args.out, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
     except OSError as exc:
         print(f"qsafe: error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -80,10 +80,6 @@ class EveryKthBlock:
         if self.k < 1:
             raise InvalidBandwidth(f"k must be >= 1, got {self.k}")
 
-    @property
-    def bandwidth(self) -> Fraction:
-        return Fraction(1, self.k)
-
 
 @dataclass(frozen=True)
 class FractionOfEachBlock:
@@ -93,10 +89,6 @@ class FractionOfEachBlock:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "fraction", _as_bandwidth(self.fraction))
-
-    @property
-    def bandwidth(self) -> Fraction:
-        return self.fraction
 
 
 ScheduleStyle = EveryKthBlock | FractionOfEachBlock

@@ -5,6 +5,8 @@ inside the canonical single-in single-out transaction with its own
 signature+key material, leaving every other field untouched.  Weight
 grows only through the witness bytes (scale factor 1), so the slowdown
 in transactions per block is milder than the raw signature-size ratio.
+How many transactions fit a block is :func:`qsafe.block_packer.mega_capacity`
+with no overhead, the same rule the packing strategies use.
 """
 
 from dataclasses import replace
@@ -19,7 +21,7 @@ from .weight_model import (
     single_in_single_out,
     transaction_weight,
 )
-from .block_packer import InfeasibleBlock, PackingMode, UpgradeScheme, per_block_capacity
+from .block_packer import InfeasibleBlock, mega_capacity
 
 
 class PqScheme(Enum):
@@ -51,13 +53,11 @@ def signature_ratio(scheme: PqScheme) -> Fraction:
 
 def post_upgrade_layout(scheme: PqScheme) -> TransactionLayout:
     """Canonical transaction with the witness resized for the scheme."""
-    extra_bits = scheme.signature_bits - _ECDSA_BITS
-    if extra_bits % 8:
-        raise ValueError(f"{scheme.value}: signature size not a whole byte count")
+    extra_bytes = (scheme.signature_bits - _ECDSA_BITS) // 8
     entries = []
     for entry in single_in_single_out():
         if entry.kind is FieldKind.WITNESS_DATA:
-            entry = replace(entry, size_bytes=entry.size_bytes + extra_bits // 8)
+            entry = replace(entry, size_bytes=entry.size_bytes + extra_bytes)
         entries.append(entry)
     return TransactionLayout(tuple(entries))
 
@@ -69,8 +69,9 @@ def post_upgrade_transaction_weight(scheme: PqScheme) -> int:
 def transactions_per_block(
     scheme: PqScheme, params: NetworkParams = DEFAULT_PARAMS
 ) -> int:
-    """Whole canonical transactions of this scheme fitting in one block."""
-    return params.usable_block_weight() // post_upgrade_transaction_weight(scheme)
+    """Whole canonical transactions of this scheme fitting in one block;
+    InfeasibleBlock if the usable block weight is not positive."""
+    return mega_capacity(post_upgrade_transaction_weight(scheme), 0, params)
 
 
 def throughput_slowdown(
@@ -82,9 +83,7 @@ def throughput_slowdown(
     and witness bytes count single, so capacity shrinks slower than the
     signatures grow.  InfeasibleBlock if either transaction does not fit.
     """
-    baseline = per_block_capacity(
-        UpgradeScheme.ECDSA_SEGWIT, PackingMode.ONE_PER_TRANSACTION, params
-    )
+    baseline = transactions_per_block(PqScheme.ECDSA_256, params)
     per_block = transactions_per_block(scheme, params)
     if per_block < 1:
         raise InfeasibleBlock(

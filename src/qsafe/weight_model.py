@@ -81,49 +81,47 @@ class TransactionLayout:
         return iter(self.entries)
 
 
+# Weight that a block's header (80 bytes) and transaction counter (3
+# bytes) take, at 4 WU per byte.
+HEADER_RESERVE = 320
+COUNTER_RESERVE = 12
+
+
 @dataclass(frozen=True)
 class NetworkParams:
     """Consensus-level constants the capacity math depends on.
 
-    The header and transaction-counter reserves are recorded but left
-    out of capacity computations unless ``apply_reserves`` is set: the
-    default models the strict lower-bound convention where every weight
-    unit of the block is available for upgrades.
+    The header and transaction-counter reserves are left out of
+    capacity computations unless ``apply_reserves`` is set: the default
+    models the strict lower-bound convention where every weight unit of
+    the block is available for upgrades.
     """
 
     block_weight_limit: int = 4_000_000
     blocktime_seconds: int = 600
-    header_reserve: int = 320
-    counter_reserve: int = 12
     apply_reserves: bool = False
 
     def __post_init__(self) -> None:
+        # Whole weight units and whole seconds: a float raises TypeError.
+        object.__setattr__(self, "block_weight_limit", operator.index(self.block_weight_limit))
+        object.__setattr__(self, "blocktime_seconds", operator.index(self.blocktime_seconds))
         if self.block_weight_limit <= 0:
             raise ValueError("block_weight_limit must be positive")
         if self.blocktime_seconds <= 0:
             raise ValueError("blocktime_seconds must be positive")
-        if self.header_reserve < 0 or self.counter_reserve < 0:
-            raise ValueError("reserves must be >= 0")
 
     def usable_block_weight(self) -> int:
         """Weight available for upgrades under the current reserve policy."""
         if self.apply_reserves:
-            return self.block_weight_limit - self.header_reserve - self.counter_reserve
+            return self.block_weight_limit - HEADER_RESERVE - COUNTER_RESERVE
         return self.block_weight_limit
 
 
 DEFAULT_PARAMS = NetworkParams()
 
 
-def field_weight(size_bytes: int, kind: FieldKind) -> int:
-    """Weight of one field: byte size times the field's scale factor."""
-    if size_bytes < 0:
-        raise ValueError(f"size_bytes must be >= 0, got {size_bytes}")
-    return size_bytes * SCALE_FACTORS[kind]
-
-
 def _run_weight(entry: FieldEntry) -> int:
-    return entry.count * field_weight(entry.size_bytes, entry.kind)
+    return entry.count * entry.size_bytes * SCALE_FACTORS[entry.kind]
 
 
 def transaction_weight(layout: TransactionLayout) -> int:

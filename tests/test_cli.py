@@ -14,6 +14,7 @@ from qsafe.cli_report import (
     DEFAULT_BANDWIDTHS,
     DEFAULT_SEED,
     DEFAULT_TRIALS,
+    FORMATS,
     build_parser,
     load_snapshot,
     run,
@@ -430,6 +431,29 @@ def test_out_writes_file_and_silences_stdout(tmp_path, capsys):
     assert out == ""
     _, stdout_text, _ = run_capture(capsys, ["capacity"])
     assert destination.read_text(encoding="utf-8") == stdout_text
+
+
+# Every subcommand path, as the benchmark's cold CLI workload runs them.
+OUT_COMMANDS = {
+    "capacity": ["capacity"],
+    "plan": ["plan"],
+    "plan-mixed": ["plan", "--schnorr-fraction", "0.3"],
+    "plan-schedule": ["plan", "--schedule", "fraction", "--bandwidth", "1/2"],
+    "impact": ["impact"],
+    "attack": ["attack", "--trials", "2000"],
+}
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("command", OUT_COMMANDS)
+def test_out_file_bytes_equal_stdout_bytes(tmp_path, capsysbinary, command, fmt):
+    argv = OUT_COMMANDS[command] + ["--format", fmt]
+    destination = tmp_path / f"report.{fmt}"
+    assert run(argv + ["--out", str(destination)]) == 0
+    assert capsysbinary.readouterr() == (b"", b"")
+    assert run(argv) == 0
+    stdout = capsysbinary.readouterr().out
+    assert stdout and destination.read_bytes() == stdout
 
 
 def test_out_unwritable_is_io_error(capsys):

@@ -366,8 +366,6 @@ def test_schedule_style_validation():
         EveryKthBlock(2.5)
     with pytest.raises(InvalidBandwidth):
         FractionOfEachBlock(Fraction(3, 2))
-    assert EveryKthBlock(4).bandwidth == Fraction(1, 4)
-    assert FractionOfEachBlock(Fraction(1, 4)).bandwidth == Fraction(1, 4)
 
 
 

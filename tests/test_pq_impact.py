@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from qsafe.block_packer import InfeasibleBlock
+from qsafe.block_packer import InfeasibleBlock, PackingMode, UpgradeScheme, per_block_capacity
 from qsafe.pq_impact import (
     PqScheme,
     post_upgrade_layout,
@@ -98,6 +98,32 @@ def test_slowdown_of_a_transaction_that_does_not_fit_raises():
     with pytest.raises(InfeasibleBlock, match="8237-WU sphincs-plus transaction"):
         throughput_slowdown(PqScheme.SPHINCS_PLUS, params)
     assert throughput_slowdown(PqScheme.FALCON, params) == Fraction(11, 4)  # 1047 WU fits 4
+
+
+def test_a_block_with_no_usable_weight_raises():
+    # The reserves (332 WU) exceed a 300-WU limit.  Floor division of the
+    # negative usable weight would report -1 transactions.
+    params = NetworkParams(block_weight_limit=300, apply_reserves=True)
+    for scheme in PqScheme:
+        with pytest.raises(InfeasibleBlock, match="usable block weight -32 does not exceed"):
+            transactions_per_block(scheme, params)
+        with pytest.raises(InfeasibleBlock):
+            throughput_slowdown(scheme, params)
+
+
+@pytest.mark.parametrize("limit", [445, 1046, 5000, 4_000_000])
+@pytest.mark.parametrize("reserves", [False, True])
+def test_ecdsa_baseline_is_the_one_per_transaction_capacity(limit, reserves):
+    params = NetworkParams(block_weight_limit=limit, apply_reserves=reserves)
+    per_block = transactions_per_block(PqScheme.ECDSA_256, params)
+    assert per_block == params.usable_block_weight() // 445
+    if per_block:
+        assert per_block == per_block_capacity(
+            UpgradeScheme.ECDSA_SEGWIT, PackingMode.ONE_PER_TRANSACTION, params
+        )
+    else:
+        with pytest.raises(InfeasibleBlock):
+            throughput_slowdown(PqScheme.ECDSA_256, params)
 
 
 def test_layout_weight_consistency():

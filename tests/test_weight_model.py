@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -5,15 +6,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qsafe.weight_model import (
+    COUNTER_RESERVE,
     DEFAULT_PARAMS,
     FieldEntry,
     FieldKind,
+    HEADER_RESERVE,
     NetworkParams,
     SCALE_FACTORS,
     TransactionLayout,
     cumulative_weights,
     ecdsa_mega,
-    field_weight,
     schnorr_mega,
     single_in_single_out,
     transaction_weight,
@@ -27,12 +29,16 @@ def test_scale_factors():
         assert SCALE_FACTORS[kind] == 4
 
 
+def _field_weight(size_bytes, kind):
+    return transaction_weight(TransactionLayout((FieldEntry(kind, size_bytes),)))
+
+
 def test_field_weight_scales_by_kind():
-    assert field_weight(67, FieldKind.WITNESS_DATA) == 67
-    assert field_weight(42, FieldKind.INPUT) == 168
-    assert field_weight(0, FieldKind.OUTPUT) == 0
+    assert _field_weight(67, FieldKind.WITNESS_DATA) == 67
+    assert _field_weight(42, FieldKind.INPUT) == 168
+    assert _field_weight(0, FieldKind.OUTPUT) == 0
     with pytest.raises(ValueError):
-        field_weight(-1, FieldKind.INPUT)
+        _field_weight(-1, FieldKind.INPUT)
 
 
 def test_canonical_transaction_totals():
@@ -112,7 +118,7 @@ def _one_entry_per_field(n_inputs, n_witnesses):
 def test_runs_match_one_entry_per_field(n, ecdsa):
     layout = ecdsa_mega(n) if ecdsa else schnorr_mega(n)
     fields = _one_entry_per_field(n, n if ecdsa else 1)
-    weight = sum(field_weight(size, kind) for kind, size in fields)
+    weight = sum(size * SCALE_FACTORS[kind] for kind, size in fields)
     assert len(layout) == 6
     assert sum(e.count for e in layout) == len(fields)
     assert transaction_weight(layout) == weight
@@ -147,9 +153,22 @@ def test_default_params():
 
 def test_reserves_only_count_when_applied():
     params = NetworkParams(apply_reserves=True)
+    assert HEADER_RESERVE == 320 and COUNTER_RESERVE == 12
     assert params.usable_block_weight() == 4_000_000 - 320 - 12
     with pytest.raises(ValueError):
         NetworkParams(block_weight_limit=0)
     with pytest.raises(ValueError):
-        NetworkParams(header_reserve=-1)
+        NetworkParams(blocktime_seconds=-600)
+
+
+def test_network_params_take_whole_numbers():
+    # A float limit would give a float capacity (17020.0) that the
+    # duration math rejects with a TypeError far from the cause.
+    with pytest.raises(TypeError):
+        NetworkParams(block_weight_limit=4_000_000.0)
+    with pytest.raises(TypeError):
+        NetworkParams(blocktime_seconds=600.0)
+    assert [field.name for field in dataclasses.fields(NetworkParams)] == [
+        "block_weight_limit", "blocktime_seconds", "apply_reserves",
+    ]
 
