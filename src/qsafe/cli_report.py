@@ -10,8 +10,9 @@ Four subcommands, one per model surface:
 Reports render in one of ``FORMATS``: CSV, JSON, or a Markdown table.
 Duration cells carry exact ``Fraction`` values until rendering: CSV and
 Markdown print the columns a handler names half-up at 2 decimals, JSON
-keeps full precision.  Output is deterministic, so identical flags (and
-seed) give identical bytes, and ``--out`` writes the bytes stdout would.
+keeps full precision, and a value too large for a JSON number is bad
+input.  Output is deterministic, so identical flags (and seed) give
+identical bytes, and ``--out`` writes the bytes stdout would.
 The CLI does no arithmetic of its own beyond the hours-to-days unit
 conversion; every other cell comes straight from a library call.
 
@@ -27,7 +28,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from numbers import Rational
 from typing import TYPE_CHECKING
@@ -78,9 +78,12 @@ def _cell_text(value, rounded: bool) -> str:
     return str(value)
 
 
-def _cell_json(value):
+def _cell_json(col, value):
     if isinstance(value, Rational) and not isinstance(value, int):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise ValueError(f"{col}: value too large for a JSON number") from None
     return value
 
 
@@ -98,7 +101,7 @@ def render_report(rows, fmt, rounded=()) -> str:
     cols = list(rows[0])
 
     if fmt == "json":
-        payload = [{col: _cell_json(row[col]) for col in cols} for row in rows]
+        payload = [{col: _cell_json(col, row[col]) for col in cols} for row in rows]
         return json.dumps(payload, indent=2) + "\n"
 
     cells = [[_cell_text(row[col], col in rounded) for col in cols] for row in rows]
@@ -182,17 +185,24 @@ def _resolve_seed(flag_value: int | None) -> int:
     raw = os.environ.get(SEED_ENV_VAR)
     if raw is None:
         return DEFAULT_SEED
+    from .jit_attack_sim import _check_seed
+
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError as exc:
         raise ValueError(f"{SEED_ENV_VAR}: not an integer: {raw!r}") from exc
+    try:
+        _check_seed(seed)
+    except ValueError as exc:
+        raise ValueError(f"{SEED_ENV_VAR}: {exc}") from exc
+    return seed
 
 
 def _params(args) -> NetworkParams:
     from .weight_model import DEFAULT_PARAMS
 
     if getattr(args, "include_reserves", False):
-        return replace(DEFAULT_PARAMS, apply_reserves=True)
+        return DEFAULT_PARAMS._replace(apply_reserves=True)
     return DEFAULT_PARAMS
 
 
@@ -279,7 +289,7 @@ def _cmd_plan(args):
             )
         return _schedule_rows(snapshot, bandwidths, args.schedule, params)
     if args.schnorr_fraction is not None:
-        snapshot = replace(snapshot, schnorr_fraction=args.schnorr_fraction)
+        snapshot = snapshot._replace(schnorr_fraction=args.schnorr_fraction)
     if bandwidths is None:
         bandwidths = list(DEFAULT_BANDWIDTHS)
     rows = bandwidth_table(snapshot, bandwidths, params)

@@ -13,8 +13,9 @@ interval) and ``Memoryless`` (exponential inter-block times, the usual
 Poisson-mining picture).  Both default to a 600 s mean.
 
 Randomness discipline: trials draw from a counter-based Philox stream
-keyed by (seed, stream).  Trial i owns counter block i and reads the
-first 64-bit word of that block; its top 53 bits k are the trial's
+keyed by (seed, stream), for a seed in [0, 2**128).  Trial i owns
+counter block i and reads the first 64-bit word of that block; its
+top 53 bits k are the trial's
 uniform k * 2**-53, the double numpy's ``Generator.random`` gives.  The
 first-block time is monotone in that uniform, so the trials a row's
 attacker wins are exactly those with k on one side of an integer edge K,
@@ -40,8 +41,9 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
+
+from . import _Record
 
 if TYPE_CHECKING:
     from collections.abc import Callable
@@ -57,8 +59,7 @@ def _finite_positive(value: float) -> bool:
     return math.isfinite(value) and value > 0
 
 
-@dataclass(frozen=True)
-class QuantumAttacker:
+class QuantumAttacker(_Record):
     """Key-break capability: key size, effective logical clock, and any
     fixed key-download/broadcast latency."""
 
@@ -66,7 +67,7 @@ class QuantumAttacker:
     effective_clock_hz: float = 1000.0
     overhead_seconds: float = 0.0
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.key_bits < 0:
             raise ValueError(f"key_bits must be >= 0, got {self.key_bits}")
         if not _finite_positive(self.effective_clock_hz):
@@ -89,27 +90,25 @@ class QuantumAttacker:
             )
 
 
-@dataclass(frozen=True)
-class FixedInterval:
+class FixedInterval(_Record):
     """Blocks arrive on a strict clock; the victim's broadcast offset is
     uniform over one interval."""
 
     blocktime_seconds: float = 600.0
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not _finite_positive(self.blocktime_seconds):
             raise ValueError(
                 f"blocktime_seconds must be finite and positive, got {self.blocktime_seconds}"
             )
 
 
-@dataclass(frozen=True)
-class Memoryless:
+class Memoryless(_Record):
     """Exponential inter-block times with the given mean."""
 
     mean_blocktime_seconds: float = 600.0
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not _finite_positive(self.mean_blocktime_seconds):
             raise ValueError(
                 "mean_blocktime_seconds must be finite and positive, "
@@ -120,8 +119,7 @@ class Memoryless:
 MiningModel = FixedInterval | Memoryless
 
 
-@dataclass(frozen=True)
-class AttackScenario:
+class AttackScenario(_Record):
     attacker: QuantumAttacker
     mining: MiningModel
 
@@ -161,8 +159,7 @@ def _philox(seed: int, stream: int, start: int = 0) -> np.random.Philox:
     """Bit generator of the (seed, stream) stream, positioned at trial start."""
     import numpy as np
 
-    entropy = seed & ((1 << 128) - 1)  # SeedSequence rejects negative ints
-    key = np.random.SeedSequence((entropy, stream)).generate_state(2, np.uint64)
+    key = np.random.SeedSequence((seed, stream)).generate_state(2, np.uint64)
     bitgen = np.random.Philox(key=key)
     if start:
         bitgen.advance(start)  # one counter block per trial
@@ -257,6 +254,13 @@ def _worker_below(
     return below
 
 
+def _check_seed(seed: int) -> None:
+    """ValueError unless ``seed`` is in [0, 2**128): streams are defined
+    for seeds of at most 128 bits, and a larger one would alias a smaller."""
+    if not 0 <= seed < 1 << 128:
+        raise ValueError(f"seed must be in [0, 2**128), got {seed}")
+
+
 def race_win_count(
     scenario: AttackScenario, seed: int, start: int, stop: int, *, stream: int = 0
 ) -> int:
@@ -269,10 +273,14 @@ def race_win_count(
     holds up no one.  At most _CHUNK_TRIALS trials are in flight at a
     time, so memory does not grow with stop - start.  After an error in
     any step no worker takes another, and the error is raised here once
-    every thread has finished.
+    every thread has finished.  ValueError for a seed outside
+    [0, 2**128), even when no trial needs drawing.
     """
     if not 0 <= start <= stop:
         raise ValueError(f"need 0 <= start <= stop, got [{start}, {stop})")
+    # Checked before the early return below, so every row refuses the
+    # same seeds.
+    _check_seed(seed)
     # Workers call private helpers only, so wrappers around the public
     # functions see one call per race_win_count, from this thread.
     edge, below = _win_edge(scenario.mining, break_duration(scenario.attacker))
@@ -337,7 +345,7 @@ def sweep(
     if not clocks:
         raise ValueError("clock_range must be non-empty")
     row_scenarios = [
-        replace(scenario, attacker=replace(scenario.attacker, effective_clock_hz=clock_hz))
+        scenario._replace(attacker=scenario.attacker._replace(effective_clock_hz=clock_hz))
         for clock_hz in clocks
     ]
     rows = []

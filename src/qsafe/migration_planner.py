@@ -12,10 +12,10 @@ run length and its cost does not depend on k or on the pool size.
 """
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Real
 
+from . import _Record
 from .block_packer import (
     PackingMode,
     UpgradeScheme,
@@ -29,8 +29,7 @@ class InvalidBandwidth(ValueError):
     """Bandwidth fraction outside (0, 1], or a schedule that allocates none."""
 
 
-@dataclass(frozen=True)
-class UtxoSnapshot:
+class UtxoSnapshot(_Record):
     """Size and signature-scheme mix of the UTXO set at a dated point.
 
     Every check raises ``ValueError``, so a bad value read from a file or
@@ -41,7 +40,7 @@ class UtxoSnapshot:
     total: int
     schnorr_fraction: float | Fraction = 0.0
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         total, fraction = self.total, self.schnorr_fraction
         if isinstance(total, bool) or not isinstance(total, int):
             raise ValueError(f"total must be an integer, got {total!r}")
@@ -68,26 +67,24 @@ def _as_bandwidth(value) -> Fraction:
     return bandwidth
 
 
-@dataclass(frozen=True)
-class EveryKthBlock:
+class EveryKthBlock(_Record):
     """Dedicate every k'th block entirely to upgrade transactions."""
 
     k: int
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         # A whole number of blocks: a float k raises TypeError.
         object.__setattr__(self, "k", operator.index(self.k))
         if self.k < 1:
             raise InvalidBandwidth(f"k must be >= 1, got {self.k}")
 
 
-@dataclass(frozen=True)
-class FractionOfEachBlock:
+class FractionOfEachBlock(_Record):
     """Reserve a fixed fraction of every block for upgrade transactions."""
 
     fraction: Fraction
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         object.__setattr__(self, "fraction", _as_bandwidth(self.fraction))
 
 
@@ -99,8 +96,7 @@ def _hours(blocks: int, blocktime_seconds: int) -> Fraction:
     return Fraction(blocks * blocktime_seconds, 3600)
 
 
-@dataclass(frozen=True)
-class ScheduleTimeline:
+class ScheduleTimeline(_Record):
     """A throttled schedule as runs: every ``stride``'th block carries
     ``share`` upgrades for ``full_blocks`` upgrade blocks, then one more
     upgrade block carries the ``tail`` (``0 <= tail < share``; no block

@@ -9,7 +9,6 @@ How many transactions fit a block is :func:`qsafe.block_packer.mega_capacity`
 with no overhead, the same rule the packing strategies use.
 """
 
-from dataclasses import replace
 from enum import Enum
 from fractions import Fraction
 
@@ -57,7 +56,7 @@ def post_upgrade_layout(scheme: PqScheme) -> TransactionLayout:
     entries = []
     for entry in single_in_single_out():
         if entry.kind is FieldKind.WITNESS_DATA:
-            entry = replace(entry, size_bytes=entry.size_bytes + extra_bytes)
+            entry = entry._replace(size_bytes=entry.size_bytes + extra_bytes)
         entries.append(entry)
     return TransactionLayout(tuple(entries))
 

@@ -15,8 +15,9 @@ runs whatever their input count.
 """
 
 import operator
-from dataclasses import dataclass
 from enum import Enum
+
+from . import _Record
 
 
 class FieldKind(Enum):
@@ -50,15 +51,14 @@ WITNESS_BYTES = 67
 LOCK_TIME_BYTES = 4
 
 
-@dataclass(frozen=True)
-class FieldEntry:
+class FieldEntry(_Record):
     """A run of ``count`` consecutive serialized fields of one kind and size."""
 
     kind: FieldKind
     size_bytes: int
     count: int = 1
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         # Whole bytes and a whole number of fields: a float raises TypeError.
         object.__setattr__(self, "size_bytes", operator.index(self.size_bytes))
         object.__setattr__(self, "count", operator.index(self.count))
@@ -68,8 +68,7 @@ class FieldEntry:
             raise ValueError(f"count must be >= 0, got {self.count}")
 
 
-@dataclass(frozen=True)
-class TransactionLayout:
+class TransactionLayout(_Record):
     """Ordered sequence of field runs describing one transaction."""
 
     entries: tuple[FieldEntry, ...]
@@ -87,8 +86,7 @@ HEADER_RESERVE = 320
 COUNTER_RESERVE = 12
 
 
-@dataclass(frozen=True)
-class NetworkParams:
+class NetworkParams(_Record):
     """Consensus-level constants the capacity math depends on.
 
     The header and transaction-counter reserves are left out of
@@ -101,7 +99,7 @@ class NetworkParams:
     blocktime_seconds: int = 600
     apply_reserves: bool = False
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         # Whole weight units and whole seconds: a float raises TypeError.
         object.__setattr__(self, "block_weight_limit", operator.index(self.block_weight_limit))
         object.__setattr__(self, "blocktime_seconds", operator.index(self.blocktime_seconds))

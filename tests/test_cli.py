@@ -177,6 +177,27 @@ def test_plan_schedule_k_needs_unit_fraction(capsys):
     assert "unit fraction" in err
 
 
+@pytest.mark.parametrize(
+    "schedule, column",
+    [([], "ecdsa_hours"), (["--schedule", "k"], "duration_hours")],
+    ids=["table", "every-kth"],
+)
+def test_json_refuses_a_duration_too_large_for_a_float(schedule, column):
+    # 1e-400 is a valid bandwidth, but the durations it gives exceed the
+    # largest float.  Run cold, so an uncaught error would print its
+    # traceback here.
+    result = subprocess.run(
+        [sys.executable, "-m", "qsafe", "plan", *schedule, "--bandwidth", "1e-400",
+         "--format", "json"],
+        capture_output=True,
+        text=True,
+    )
+    assert "Traceback" not in result.stderr
+    assert (result.returncode, result.stdout, result.stderr) == (
+        1, "", f"qsafe: error: {column}: value too large for a JSON number\n"
+    )
+
+
 def test_plan_bandwidth_out_of_range(capsys):
     code, _, err = run_capture(capsys, ["plan", "--bandwidth", "2"])
     assert code == 1
@@ -368,6 +389,21 @@ def test_attack_bad_env_seed(monkeypatch, capsys):
     code, _, err = run_capture(capsys, ["attack", "--trials", "100"])
     assert code == 1
     assert "QSAFE_SEED" in err
+
+
+@pytest.mark.parametrize("seed", [str(2**128), "-1"])
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_attack_refuses_a_seed_outside_128_bits(monkeypatch, capsys, seed, source):
+    argv = ["attack", "--clock-hz", "100", "--trials", "100"]
+    prefix = ""
+    if source == "flag":
+        argv += ["--seed", seed]
+    else:
+        monkeypatch.setenv("QSAFE_SEED", seed)
+        prefix = "QSAFE_SEED: "  # the value came from nowhere on the command line
+    assert run_capture(capsys, argv) == (
+        1, "", f"qsafe: error: {prefix}seed must be in [0, 2**128), got {seed}\n"
+    )
 
 
 def test_attack_validation(capsys):

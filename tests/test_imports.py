@@ -1,11 +1,13 @@
 """What ``import qsafe`` exposes, which modules each subcommand loads,
-and that numpy is loaded only when a Monte Carlo draw runs.
+that numpy is loaded only when a Monte Carlo draw runs, and that no
+subcommand loads ``dataclasses``, nor an exact one ``inspect``.
 
 Each load check runs in a fresh interpreter, because this test process
 has long since imported every qsafe module and numpy.
 """
 
 import json
+import os
 import subprocess
 import sys
 
@@ -46,6 +48,20 @@ def loaded_after(argv, then="") -> dict:
     return loaded
 
 
+def imported_by_cold_command(argv) -> set:
+    """Every module a cold ``python -m qsafe *argv`` imports, read from
+    the stderr lines of ``-X importtime``; no bytecode is written."""
+    result = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "qsafe", *argv],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    lines = [line for line in result.stderr.splitlines() if line.startswith("import time:")]
+    return {line.rsplit("|", 1)[1].strip() for line in lines}
+
+
 CAPACITY = {"cli_report", "weight_model", "block_packer"}
 PLAN = CAPACITY | {"migration_planner"}
 IMPACT = CAPACITY | {"pq_impact"}
@@ -69,6 +85,21 @@ def test_import_loads_no_submodule_and_no_numpy():
 @pytest.mark.parametrize("argv, modules", EXACT_RUNS, ids=EXACT_IDS)
 def test_exact_subcommands_load_only_their_modules_and_never_numpy(argv, modules):
     assert loaded_after(argv) == {"numpy": False, "qsafe": modules}
+
+
+@pytest.mark.parametrize(
+    "argv, unloaded",
+    # numpy itself imports inspect.
+    [(argv, {"dataclasses", "inspect"}) for argv, _ in EXACT_RUNS]
+    + [(["attack", "--trials", "10"], {"dataclasses"})],
+    ids=[*EXACT_IDS, "attack"],
+)
+def test_cold_commands_load_no_dataclasses_and_exact_ones_no_inspect(argv, unloaded):
+    # The records share qsafe's own base, and inspect is most of what
+    # importing dataclasses costs a cold start.
+    imported = imported_by_cold_command(argv)
+    assert "qsafe.cli_report" in imported  # the lines were read
+    assert imported & unloaded == set()
 
 
 def test_attack_loads_only_the_race_model_and_numpy_on_its_first_draw():

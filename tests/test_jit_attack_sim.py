@@ -169,6 +169,21 @@ def test_win_count_range_validation():
         race_win_count(scenario, seed=1, start=6, stop=5)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**128])
+@pytest.mark.parametrize(
+    "attacker",
+    [BASELINE, QuantumAttacker(key_bits=256, effective_clock_hz=100.0)],
+    ids=["drawn", "certain"],
+)
+def test_win_count_refuses_seeds_outside_128_bits(seed, attacker):
+    # Philox takes 128 bits of seed, so 2**128 would alias seed 0 and -1
+    # seed 2**128 - 1; a row every trial decides alike checks it too.
+    scenario = AttackScenario(attacker, FixedInterval())
+    with pytest.raises(ValueError, match=rf"seed must be in \[0, 2\*\*128\), got {seed}"):
+        race_win_count(scenario, seed=seed, start=0, stop=10)
+    assert race_win_count(scenario, seed=2**128 - 1, start=0, stop=10) in range(11)
+
+
 def test_streams_are_independent():
     scenario = AttackScenario(BASELINE, Memoryless())
     a = race_win_count(scenario, seed=3, start=0, stop=5000, stream=0)

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -168,7 +167,7 @@ def test_network_params_take_whole_numbers():
         NetworkParams(block_weight_limit=4_000_000.0)
     with pytest.raises(TypeError):
         NetworkParams(blocktime_seconds=600.0)
-    assert [field.name for field in dataclasses.fields(NetworkParams)] == [
+    assert NetworkParams._fields == (
         "block_weight_limit", "blocktime_seconds", "apply_reserves",
-    ]
+    )
 
