@@ -85,9 +85,8 @@ class _Record:
 # The one list of the public names, by the submodule that defines each.
 _EXPORTS = {
     "weight_model": (
-        "DEFAULT_PARAMS", "FieldKind", "NetworkParams", "TransactionLayout",
-        "cumulative_weights", "ecdsa_mega", "schnorr_mega", "single_in_single_out",
-        "transaction_weight",
+        "DEFAULT_PARAMS", "FieldKind", "NetworkParams", "cumulative_weights",
+        "ecdsa_mega", "schnorr_mega", "single_in_single_out", "transaction_weight",
     ),
     "block_packer": (
         "InfeasibleBlock", "PackingMode", "UpgradeScheme", "blocks_required",
@@ -96,8 +95,8 @@ _EXPORTS = {
     ),
     "migration_planner": (
         "DEFAULT_SNAPSHOT", "EveryKthBlock", "FractionOfEachBlock",
-        "InvalidBandwidth", "ScheduleTimeline", "UtxoSnapshot", "bandwidth_table",
-        "lower_bound_duration", "mixed_duration", "throttled_schedule",
+        "InvalidBandwidth", "UtxoSnapshot", "bandwidth_table", "lower_bound_duration",
+        "mixed_duration", "throttled_schedule",
     ),
     "jit_attack_sim": (
         "AttackScenario", "FixedInterval", "InvalidClock", "Memoryless",

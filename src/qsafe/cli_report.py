@@ -25,7 +25,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import re
 import sys
 from fractions import Fraction
@@ -42,7 +41,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_IO = 2
 
-SEED_ENV_VAR = "QSAFE_SEED"
 DEFAULT_SEED = 42
 
 DEFAULT_BANDWIDTHS = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1))
@@ -179,25 +177,6 @@ def load_snapshot(path: str | None) -> UtxoSnapshot:
         raise ValueError(f"snapshot {path}: {exc}") from exc
 
 
-def _resolve_seed(flag_value: int | None) -> int:
-    if flag_value is not None:
-        return flag_value
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return DEFAULT_SEED
-    from .jit_attack_sim import _check_seed
-
-    try:
-        seed = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{SEED_ENV_VAR}: not an integer: {raw!r}") from exc
-    try:
-        _check_seed(seed)
-    except ValueError as exc:
-        raise ValueError(f"{SEED_ENV_VAR}: {exc}") from exc
-    return seed
-
-
 def _params(args) -> NetworkParams:
     from .weight_model import DEFAULT_PARAMS
 
@@ -313,7 +292,6 @@ def _cmd_attack(args):
     )
 
     clocks = args.clock_hz if args.clock_hz is not None else list(DEFAULT_CLOCKS)
-    seed = _resolve_seed(args.seed)
     mining = FixedInterval() if args.mining == "fixed" else Memoryless()
     scenario = AttackScenario(
         attacker=QuantumAttacker(
@@ -322,7 +300,7 @@ def _cmd_attack(args):
         mining=mining,
     )
     rows = []
-    for result in sweep(scenario, clocks, args.trials, seed):
+    for result in sweep(scenario, clocks, args.trials, args.seed):
         rows.append(
             {
                 "mining": args.mining,
@@ -334,7 +312,7 @@ def _cmd_attack(args):
                 "p_estimate": result["p_estimate"],
                 "std_error": result["std_error"],
                 "trials": args.trials,
-                "seed": seed,
+                "seed": args.seed,
             }
         )
     return rows, ()
@@ -437,8 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"Monte Carlo trials per row (default: {DEFAULT_TRIALS})",
     )
     p_attack.add_argument(
-        "--seed", type=int,
-        help=f"RNG seed (default: ${SEED_ENV_VAR} or {DEFAULT_SEED})",
+        "--seed", type=int, default=DEFAULT_SEED,
+        help=f"RNG seed (default: {DEFAULT_SEED})",
     )
     add_common(p_attack)
     p_attack.set_defaults(handler=_cmd_attack)

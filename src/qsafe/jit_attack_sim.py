@@ -254,13 +254,6 @@ def _worker_below(
     return below
 
 
-def _check_seed(seed: int) -> None:
-    """ValueError unless ``seed`` is in [0, 2**128): streams are defined
-    for seeds of at most 128 bits, and a larger one would alias a smaller."""
-    if not 0 <= seed < 1 << 128:
-        raise ValueError(f"seed must be in [0, 2**128), got {seed}")
-
-
 def race_win_count(
     scenario: AttackScenario, seed: int, start: int, stop: int, *, stream: int = 0
 ) -> int:
@@ -278,9 +271,11 @@ def race_win_count(
     """
     if not 0 <= start <= stop:
         raise ValueError(f"need 0 <= start <= stop, got [{start}, {stop})")
-    # Checked before the early return below, so every row refuses the
-    # same seeds.
-    _check_seed(seed)
+    # Streams are defined for seeds of at most 128 bits, and a larger one
+    # would alias a smaller.  Checked before the early return below, so
+    # every row refuses the same seeds.
+    if not 0 <= seed < 1 << 128:
+        raise ValueError(f"seed must be in [0, 2**128), got {seed}")
     # Workers call private helpers only, so wrappers around the public
     # functions see one call per race_win_count, from this thread.
     edge, below = _win_edge(scenario.mining, break_duration(scenario.attacker))

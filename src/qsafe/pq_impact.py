@@ -2,21 +2,23 @@
 
 Each candidate scheme replaces the 512-bit ECDSA signature+pubkey pair
 inside the canonical single-in single-out transaction with its own
-signature+key material, leaving every other field untouched.  Weight
-grows only through the witness bytes (scale factor 1), so the slowdown
-in transactions per block is milder than the raw signature-size ratio.
-How many transactions fit a block is :func:`qsafe.block_packer.mega_capacity`
-with no overhead, the same rule the packing strategies use.
+signature+key material, leaving every other field untouched: its layout
+is the canonical tuple of ``FieldEntry`` runs with the witness run
+resized.  Weight grows only through the witness bytes (scale factor 1),
+so the slowdown in transactions per block is milder than the raw
+signature-size ratio.  How many transactions fit a block is
+:func:`qsafe.block_packer.mega_capacity` with no overhead, the same rule
+the packing strategies use.
 """
 
 from enum import Enum
 from fractions import Fraction
 
 from .weight_model import (
+    FieldEntry,
     FieldKind,
     NetworkParams,
     DEFAULT_PARAMS,
-    TransactionLayout,
     single_in_single_out,
     transaction_weight,
 )
@@ -50,15 +52,15 @@ def signature_ratio(scheme: PqScheme) -> Fraction:
     return Fraction(scheme.signature_bits, _ECDSA_BITS)
 
 
-def post_upgrade_layout(scheme: PqScheme) -> TransactionLayout:
-    """Canonical transaction with the witness resized for the scheme."""
+def post_upgrade_layout(scheme: PqScheme) -> tuple[FieldEntry, ...]:
+    """Canonical transaction's runs with the witness resized for the scheme."""
     extra_bytes = (scheme.signature_bits - _ECDSA_BITS) // 8
-    entries = []
-    for entry in single_in_single_out():
-        if entry.kind is FieldKind.WITNESS_DATA:
-            entry = entry._replace(size_bytes=entry.size_bytes + extra_bytes)
-        entries.append(entry)
-    return TransactionLayout(tuple(entries))
+    return tuple(
+        entry._replace(size_bytes=entry.size_bytes + extra_bytes)
+        if entry.kind is FieldKind.WITNESS_DATA
+        else entry
+        for entry in single_in_single_out()
+    )
 
 
 def post_upgrade_transaction_weight(scheme: PqScheme) -> int:

@@ -5,7 +5,8 @@ Block space is measured in weight units (WU): a block holds at most
 4 WU each.  Transactions are modelled here as ordered runs of
 (field kind, byte size, count) entries at the granularity of the major
 fields, so that the footprint of UTXO-upgrade transactions can be
-computed exactly.  All arithmetic in this module is integer; nothing
+computed exactly.  A layout is a plain tuple of ``FieldEntry`` runs in
+serialization order.  All arithmetic in this module is integer; nothing
 rounds.
 
 The canonical single-input/single-output upgrade transaction is 163
@@ -68,18 +69,6 @@ class FieldEntry(_Record):
             raise ValueError(f"count must be >= 0, got {self.count}")
 
 
-class TransactionLayout(_Record):
-    """Ordered sequence of field runs describing one transaction."""
-
-    entries: tuple[FieldEntry, ...]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-
 # Weight that a block's header (80 bytes) and transaction counter (3
 # bytes) take, at 4 WU per byte.
 HEADER_RESERVE = 320
@@ -122,42 +111,40 @@ def _run_weight(entry: FieldEntry) -> int:
     return entry.count * entry.size_bytes * SCALE_FACTORS[entry.kind]
 
 
-def transaction_weight(layout: TransactionLayout) -> int:
+def transaction_weight(layout: tuple[FieldEntry, ...]) -> int:
     """Total weight of a layout; fields contribute independently."""
-    return sum(_run_weight(entry) for entry in layout.entries)
+    return sum(_run_weight(entry) for entry in layout)
 
 
-def cumulative_weights(layout: TransactionLayout) -> tuple[int, ...]:
+def cumulative_weights(layout: tuple[FieldEntry, ...]) -> tuple[int, ...]:
     """Running weight totals over the layout's prefixes, one per run."""
     totals = []
     running = 0
-    for entry in layout.entries:
+    for entry in layout:
         running += _run_weight(entry)
         totals.append(running)
     return tuple(totals)
 
 
-def single_in_single_out() -> TransactionLayout:
+def single_in_single_out() -> tuple[FieldEntry, ...]:
     """The canonical 163-byte / 445-WU one-input, one-output transaction."""
     return _mega(1, 1)
 
 
-def _mega(n_inputs: int, n_witnesses: int) -> TransactionLayout:
+def _mega(n_inputs: int, n_witnesses: int) -> tuple[FieldEntry, ...]:
     # Fields in serialization order: every input precedes the output and
     # every witness follows it.
-    return TransactionLayout(
-        (
-            FieldEntry(FieldKind.VERSION, VERSION_BYTES),
-            FieldEntry(FieldKind.MARKER_AND_FLAG, MARKER_AND_FLAG_BYTES),
-            FieldEntry(FieldKind.INPUT, INPUT_BYTES, n_inputs),
-            FieldEntry(FieldKind.OUTPUT, OUTPUT_BYTES),
-            FieldEntry(FieldKind.WITNESS_DATA, WITNESS_BYTES, n_witnesses),
-            FieldEntry(FieldKind.LOCK_TIME, LOCK_TIME_BYTES),
-        )
+    return (
+        FieldEntry(FieldKind.VERSION, VERSION_BYTES),
+        FieldEntry(FieldKind.MARKER_AND_FLAG, MARKER_AND_FLAG_BYTES),
+        FieldEntry(FieldKind.INPUT, INPUT_BYTES, n_inputs),
+        FieldEntry(FieldKind.OUTPUT, OUTPUT_BYTES),
+        FieldEntry(FieldKind.WITNESS_DATA, WITNESS_BYTES, n_witnesses),
+        FieldEntry(FieldKind.LOCK_TIME, LOCK_TIME_BYTES),
     )
 
 
-def ecdsa_mega(n_inputs: int) -> TransactionLayout:
+def ecdsa_mega(n_inputs: int) -> tuple[FieldEntry, ...]:
     """Block-filling upgrade transaction with one ECDSA witness per input.
 
     Costs 235 WU per input (168 input + 67 witness) on top of 210 WU of
@@ -166,7 +153,7 @@ def ecdsa_mega(n_inputs: int) -> TransactionLayout:
     return _mega(n_inputs, n_inputs)
 
 
-def schnorr_mega(n_inputs: int) -> TransactionLayout:
+def schnorr_mega(n_inputs: int) -> tuple[FieldEntry, ...]:
     """Block-filling upgrade transaction with one aggregated Schnorr witness.
 
     Key aggregation collapses all witnesses into a single 67-byte

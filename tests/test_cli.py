@@ -375,34 +375,18 @@ def test_attack_seed_flag_changes_estimate(capsys):
     assert one != two
 
 
-def test_attack_seed_env_var(monkeypatch, capsys):
+def test_attack_ignores_the_seed_environment_variable(monkeypatch, capsys):
+    # --seed is the only seed source; a QSAFE_SEED left set changes nothing.
     monkeypatch.setenv("QSAFE_SEED", "7")
     _, out, _ = run_capture(capsys, ["attack", "--trials", "100"])
-    assert parse_csv(out)[0]["seed"] == "7"
-    # explicit flag wins over the environment
-    _, out, _ = run_capture(capsys, ["attack", "--trials", "100", "--seed", "3"])
-    assert parse_csv(out)[0]["seed"] == "3"
-
-
-def test_attack_bad_env_seed(monkeypatch, capsys):
-    monkeypatch.setenv("QSAFE_SEED", "xyz")
-    code, _, err = run_capture(capsys, ["attack", "--trials", "100"])
-    assert code == 1
-    assert "QSAFE_SEED" in err
+    assert parse_csv(out)[0]["seed"] == str(DEFAULT_SEED) == "42"
 
 
 @pytest.mark.parametrize("seed", [str(2**128), "-1"])
-@pytest.mark.parametrize("source", ["flag", "env"])
-def test_attack_refuses_a_seed_outside_128_bits(monkeypatch, capsys, seed, source):
-    argv = ["attack", "--clock-hz", "100", "--trials", "100"]
-    prefix = ""
-    if source == "flag":
-        argv += ["--seed", seed]
-    else:
-        monkeypatch.setenv("QSAFE_SEED", seed)
-        prefix = "QSAFE_SEED: "  # the value came from nowhere on the command line
+def test_attack_refuses_a_seed_outside_128_bits(capsys, seed):
+    argv = ["attack", "--clock-hz", "100", "--trials", "100", "--seed", seed]
     assert run_capture(capsys, argv) == (
-        1, "", f"qsafe: error: {prefix}seed must be in [0, 2**128), got {seed}\n"
+        1, "", f"qsafe: error: seed must be in [0, 2**128), got {seed}\n"
     )
 
 

@@ -1,0 +1,114 @@
+"""Every argv that ``run()`` accepts prints finite cells; every other one
+exits 1 with one error line.
+
+Argv is generated from each subcommand's own flags, read from the
+parser, with values drawn from extreme and malformed literals.
+"""
+
+import argparse
+import csv
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qsafe.cli_report import build_parser, run
+
+HUGE = str(2**128)
+LITERALS = ("1e-400", "5e-324", "1e308", HUGE, "-0", "-1/2", "1/0", "nan", "inf", "abc", "")
+# A few ordinary values, so that accepted runs are common too.
+VALUES = st.sampled_from(LITERALS) | st.sampled_from(("0", "1", "1/2", "0.3", "256"))
+# Any count of trials is legal; large ones are only slow.
+TRIALS = st.integers(1, 2000).map(str) | st.sampled_from([v for v in LITERALS if v != HUGE])
+
+SUBCOMMANDS = next(
+    action.choices
+    for action in build_parser()._actions
+    if isinstance(action, argparse._SubParsersAction)
+)
+# Path flags are left out: a missing file is an I/O failure, exit 2.
+PATH_FLAGS = {"--out", "--snapshot"}
+
+
+def flag_argv(action):
+    """Strategy for one use of an option, as a list of argv words."""
+    flag = action.option_strings[-1]
+    if action.nargs == 0:
+        return st.just([flag])
+    if flag == "--trials":
+        values = TRIALS
+    elif action.choices is not None:
+        values = st.sampled_from(list(action.choices)) | VALUES
+    else:
+        values = VALUES
+    return values.map(lambda value: [flag, value])
+
+
+def argvs(command):
+    options = [
+        flag_argv(action)
+        for action in SUBCOMMANDS[command]._actions
+        if action.option_strings and action.dest != "help"
+        and action.option_strings[-1] not in PATH_FLAGS
+    ]
+    uses = st.lists(st.one_of(options), max_size=5)
+    argv = uses.map(lambda words: [command] + [word for use in words for word in use])
+    if command == "attack":
+        # The default of 100,000 trials a row would only slow the search.
+        argv = st.tuples(argv, TRIALS).map(lambda pair: pair[0] + ["--trials", pair[1]])
+    return argv
+
+
+def run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def cells(text, fmt):
+    if fmt == "json":
+        return [str(value) for row in json.loads(text) for value in row.values()]
+    if fmt == "md":
+        lines = text.splitlines()[2:]  # past the header and its rule
+        return [cell.strip() for line in lines for cell in line.strip("|").split("|")]
+    return [cell for row in list(csv.reader(io.StringIO(text)))[1:] for cell in row]
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_run_prints_finite_cells_or_exits_one_with_one_error_line(command, data):
+    argv = data.draw(argvs(command), label="argv")
+    code, out, err = run_captured(argv)
+    assert "Traceback" not in err
+    if code == 0:
+        assert err == ""
+        fmt = "csv"
+        for word, value in zip(argv, argv[1:]):
+            if word == "--format":
+                fmt = value  # the last one given wins
+        found = cells(out, fmt)
+        assert found
+        assert not [cell for cell in found if cell.lower().lstrip("-") in ("nan", "inf", "infinity")]
+    else:
+        assert code == 1
+        assert out == ""
+        assert err.startswith("qsafe: error: ")
+        assert sum(line.startswith("qsafe: error:") for line in err.splitlines()) == 1
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="an unrounded Fraction is printed through float, so 1e-400 prints as 0.0; "
+    "the fix changes the default impact bytes and waits for the benchmark oracle",
+)
+def test_plan_prints_a_tiny_bandwidth_exactly():
+    code, out, err = run_captured(["plan", "--bandwidth", "1e-400", "--format", "csv"])
+    assert (code, err) == (0, "")
+    row = next(csv.DictReader(io.StringIO(out)))
+    assert Fraction(row["bandwidth"]) == Fraction("1e-400")

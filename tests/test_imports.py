@@ -120,7 +120,7 @@ def test_a_name_loads_only_its_module_and_what_that_imports(then, modules):
 
 
 def test_public_names_are_the_defining_modules_own():
-    assert len(qsafe.__all__) == len(set(qsafe.__all__)) == 48
+    assert len(qsafe.__all__) == len(set(qsafe.__all__)) == 46
     for name in qsafe.__all__:
         value = getattr(qsafe, name)
         home = value.__module__  # an instance reports its class's module

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qsafe.jit_attack_sim import (
@@ -299,6 +299,39 @@ def test_closed_form_is_a_probability_for_every_accepted_input(
     attacker = QuantumAttacker(key_bits, effective_clock_hz=clock_hz, overhead_seconds=overhead)
     mining = Memoryless(blocktime) if memoryless else FixedInterval(blocktime)
     assert 0.0 <= success_probability_closed_form(AttackScenario(attacker, mining)) <= 1.0
+
+
+def accepted_or_none(build, *args):
+    try:
+        return build(*args)
+    except ValueError:
+        return None
+
+
+SECONDS = st.floats(min_value=0.0, allow_nan=False) | st.sampled_from([5e-324, 1e-300, 1e308])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    key_bits=st.integers(0, 2**600),
+    clock_hz=SECONDS,
+    overhead=SECONDS,
+    blocktime=SECONDS,
+    memoryless=st.booleans(),
+    n_trials=st.integers(1, 2000),
+    seed=st.integers(0, 2**128 - 1),
+)
+def test_every_probability_is_in_the_unit_interval(
+    key_bits, clock_hz, overhead, blocktime, memoryless, n_trials, seed
+):
+    attacker = accepted_or_none(QuantumAttacker, key_bits, clock_hz, overhead)
+    mining = accepted_or_none(Memoryless if memoryless else FixedInterval, blocktime)
+    assume(attacker is not None and mining is not None)
+    scenario = AttackScenario(attacker, mining)
+    assert 0.0 <= success_probability_closed_form(scenario) <= 1.0
+    estimate, std_error = success_probability_monte_carlo(scenario, n_trials, seed)
+    assert 0.0 <= estimate <= 1.0
+    assert math.isfinite(std_error) and std_error >= 0.0
 
 
 def pipeline_wins(mining, t_break, ks):

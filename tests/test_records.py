@@ -22,7 +22,6 @@ from qsafe.weight_model import (
     FieldEntry,
     FieldKind,
     NetworkParams,
-    TransactionLayout,
 )
 
 COUNTS = st.integers(0, 10**6)
@@ -32,10 +31,9 @@ FIXED = st.builds(FixedInterval, SECONDS)
 MEMORYLESS = st.builds(Memoryless, SECONDS)
 ATTACKERS = st.builds(QuantumAttacker, st.integers(0, 4096), st.floats(1.0, 1e9), st.floats(0, 1e5))
 
-# One strategy per record class; together they cover all eleven.
+# One strategy per record class; together they cover all ten.
 RECORDS = {
     FieldEntry: FIELD_ENTRIES,
-    TransactionLayout: st.builds(TransactionLayout, st.lists(FIELD_ENTRIES, max_size=6).map(tuple)),
     NetworkParams: st.builds(NetworkParams, st.integers(1, 10**7), st.integers(1, 10**4),
                              st.booleans()),
     UtxoSnapshot: st.builds(UtxoSnapshot, st.text(max_size=8), COUNTS,
@@ -53,7 +51,7 @@ ANY_RECORD = st.one_of(*RECORDS.values())
 
 def test_the_strategies_cover_every_record_class():
     assert set(RECORDS) == set(_Record.__subclasses__())
-    assert len(RECORDS) == 11
+    assert len(RECORDS) == 10
 
 
 @given(ANY_RECORD)
@@ -116,7 +114,6 @@ def test_every_record_class_reads_its_fields_from_its_annotations():
     # cannot leave a class with no fields unnoticed.
     assert {cls: cls._fields for cls in RECORDS} == {
         FieldEntry: ("kind", "size_bytes", "count"),
-        TransactionLayout: ("entries",),
         NetworkParams: ("block_weight_limit", "blocktime_seconds", "apply_reserves"),
         UtxoSnapshot: ("as_of", "total", "schnorr_fraction"),
         EveryKthBlock: ("k",),

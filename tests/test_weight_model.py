@@ -12,7 +12,6 @@ from qsafe.weight_model import (
     HEADER_RESERVE,
     NetworkParams,
     SCALE_FACTORS,
-    TransactionLayout,
     cumulative_weights,
     ecdsa_mega,
     schnorr_mega,
@@ -29,7 +28,7 @@ def test_scale_factors():
 
 
 def _field_weight(size_bytes, kind):
-    return transaction_weight(TransactionLayout((FieldEntry(kind, size_bytes),)))
+    return transaction_weight((FieldEntry(kind, size_bytes),))
 
 
 def test_field_weight_scales_by_kind():
@@ -51,15 +50,13 @@ def test_canonical_cumulative_weights():
 
 
 def test_cumulative_matches_total_for_any_layout():
-    assert transaction_weight(TransactionLayout(())) == 0
+    assert transaction_weight(()) == 0
     rng = random.Random(901)
     kinds = list(FieldKind)
     for _ in range(200):
-        layout = TransactionLayout(
-            tuple(
-                FieldEntry(rng.choice(kinds), rng.randrange(0, 1000), rng.randrange(0, 50))
-                for _ in range(rng.randrange(0, 12))
-            )
+        layout = tuple(
+            FieldEntry(rng.choice(kinds), rng.randrange(0, 1000), rng.randrange(0, 50))
+            for _ in range(rng.randrange(0, 12))
         )
         totals = cumulative_weights(layout)
         assert len(totals) == len(layout)
