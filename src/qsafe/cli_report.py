@@ -293,10 +293,9 @@ def _cmd_attack(args):
 
     clocks = args.clock_hz if args.clock_hz is not None else list(DEFAULT_CLOCKS)
     mining = FixedInterval() if args.mining == "fixed" else Memoryless()
+    overhead = args.overhead + 0.0  # --overhead -0 prints as 0.0
     scenario = AttackScenario(
-        attacker=QuantumAttacker(
-            key_bits=args.key_bits, overhead_seconds=args.overhead
-        ),
+        attacker=QuantumAttacker(key_bits=args.key_bits, overhead_seconds=overhead),
         mining=mining,
     )
     rows = []
@@ -306,7 +305,7 @@ def _cmd_attack(args):
                 "mining": args.mining,
                 "key_bits": args.key_bits,
                 "clock_hz": result["clock_hz"],
-                "overhead_seconds": args.overhead,
+                "overhead_seconds": overhead,
                 "break_seconds": result["break_seconds"],
                 "p_closed_form": result["p_closed_form"],
                 "p_estimate": result["p_estimate"],

@@ -13,10 +13,10 @@ interval) and ``Memoryless`` (exponential inter-block times, the usual
 Poisson-mining picture).  Both default to a 600 s mean.
 
 Randomness discipline: trials draw from a counter-based Philox stream
-keyed by (seed, stream), for a seed in [0, 2**128).  Trial i owns
-counter block i and reads the first 64-bit word of that block; its
-top 53 bits k are the trial's
-uniform k * 2**-53, the double numpy's ``Generator.random`` gives.  The
+keyed by (seed, stream), for a seed in [0, 2**128).  Trial t is 64-bit
+word t of that stream; its top 53 bits k are the trial's uniform
+k * 2**-53, so the trials' uniforms are the doubles numpy's
+``Generator.random`` draws from the same bit generator, in order.  The
 first-block time is monotone in that uniform, so the trials a row's
 attacker wins are exactly those with k on one side of an integer edge K,
 which ``_win_edge`` finds once per row by bisecting the float rule over
@@ -26,11 +26,11 @@ range of trials can be counted independently and merged by summing win
 counts, bit-identical to a single serial run.  ``race_win_count`` uses
 this itself: it draws its range in steps, with one worker thread per
 usable CPU taking the next step as soon as it is free, each through its
-own bit generator advanced to that step.  Counts are the same whatever
-the CPU count and whichever worker draws a step, and equal those of
-drawing the whole range at once.  At most ``_CHUNK_TRIALS`` trials are
-in flight across all workers, so memory is bounded whatever the trial
-count and the CPU count.
+own bit generator moved to that step's first word.  Counts are the same
+whatever the CPU count and whichever worker draws a step, and equal
+those of drawing the whole range at once.  At most ``_CHUNK_TRIALS``
+trials are in flight across all workers, so memory is bounded whatever
+the trial count and the CPU count.
 
 numpy is imported by the functions that draw, not by this module, so
 importing qsafe and running its exact subcommands never loads it.
@@ -142,12 +142,13 @@ def success_probability_closed_form(scenario: AttackScenario) -> float:
     return math.exp(-t_break / mining.mean_blocktime_seconds)
 
 
-# Philox emits 4 64-bit words per counter block; each trial owns one
-# counter block and uses only its first word.
+# Philox emits 4 64-bit words per counter block, and its advance()
+# counts blocks.
 _WORDS_PER_BLOCK = 4
 
-# race_win_count has at most this many trials in flight across its
-# workers, so its memory is a few MB whatever the size of its range.
+# race_win_count has at most this many trials, one word each, in flight
+# across its workers, so its memory is about 0.5 MB whatever the size
+# of its range.
 _CHUNK_TRIALS = 1 << 16
 
 # Fewest trials a worker draws per step; this caps the worker count at
@@ -161,9 +162,26 @@ def _philox(seed: int, stream: int, start: int = 0) -> np.random.Philox:
 
     key = np.random.SeedSequence((seed, stream)).generate_state(2, np.uint64)
     bitgen = np.random.Philox(key=key)
-    if start:
-        bitgen.advance(start)  # one counter block per trial
+    _seek(bitgen, 0, start)
     return bitgen
+
+
+def _seek(bitgen: np.random.Philox, position: int, word: int) -> None:
+    """Move bitgen from word position of its stream to word >= position.
+
+    advance() moves by whole counter blocks and drops what is left of a
+    block that was only partly read, so it carries bitgen to the start
+    of word's block, and the words before word in that block are drawn
+    and dropped.
+    """
+    unread = -(-position // _WORDS_PER_BLOCK)  # first block not yet generated
+    block, skip = divmod(word, _WORDS_PER_BLOCK)
+    if block >= unread:
+        bitgen.advance(block - unread)
+    else:  # word is in the block position is partway through
+        skip = word - position
+    if skip:
+        bitgen.random_raw(skip)
 
 
 def _first_block_times(mining: MiningModel, uniforms):
@@ -190,14 +208,17 @@ def _win_edge(mining: MiningModel, t_break: float) -> tuple[int, bool]:
     def wins(k: int) -> bool:
         return bool(t_break <= _first_block_times(mining, np.float64(k) * 2.0**-53))
 
-    below = wins(0)
-    lo, hi = 0, 1 << 53  # wins(lo) == below, and K <= hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if wins(mid) == below:
-            lo = mid
-        else:
-            hi = mid
+    # A Memoryless mean near the float maximum overflows to inf for k
+    # near 2**53, which the rule still orders correctly.
+    with np.errstate(over="ignore"):
+        below = wins(0)
+        lo, hi = 0, 1 << 53  # wins(lo) == below, and K <= hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if wins(mid) == below:
+                lo = mid
+            else:
+                hi = mid
     return hi, below
 
 
@@ -228,7 +249,7 @@ def _worker_below(
 ) -> int:
     """Trials below edge over the steps next_step hands this worker.
 
-    Steps come in increasing order, so one bit generator, advanced past
+    Steps come in increasing order, so one bit generator, moved past
     the steps other workers took, serves them all.
     """
     import numpy as np
@@ -241,15 +262,13 @@ def _worker_below(
         if bitgen is None:
             bitgen = _philox(seed, stream, step_start)
         elif step_start != position:
-            bitgen.advance(step_start - position)
+            _seek(bitgen, position, step_start)
         count = min(step, stop - step_start)
         # Draw and compare in one expression, so the step's words are
         # freed before the next draw.  Kept alive, they can push the free
         # top of the heap past malloc's trim threshold, and the pages it
         # gives back are then faulted in again each step.
-        below += int(np.count_nonzero(
-            bitgen.random_raw(count * _WORDS_PER_BLOCK)[::_WORDS_PER_BLOCK] < word_edge
-        ))
+        below += int(np.count_nonzero(bitgen.random_raw(count) < word_edge))
         position = step_start + count
     return below
 

@@ -336,6 +336,78 @@ def test_attack_fixed_mining(capsys):
     assert float(row["p_closed_form"]) == 1.0 - 65.536 / 600.0
 
 
+def reference_estimate(mining, trials, seed=DEFAULT_SEED):
+    """p_estimate and std_error of a one-row attack at 1000 Hz, from
+    numpy's own Generator.random draw of stream 0 and the win rule: the
+    65.536 s break ends no later than the first block."""
+    import numpy as np
+
+    key = np.random.SeedSequence((seed, 0)).generate_state(2, np.uint64)
+    uniforms = np.random.Generator(np.random.Philox(key=key)).random(trials)
+    if mining == "fixed":
+        times = 600.0 - uniforms * 600.0
+    else:
+        times = -600.0 * np.log1p(-uniforms)
+    estimate = int(np.count_nonzero(65.536 <= times)) / trials
+    return estimate, math.sqrt(estimate * (1.0 - estimate) / trials)
+
+
+ATTACK_GOLDENS = {
+    # argv: (mining, p_closed_form, the reference estimate)
+    (): ("memoryless", "0.8965271816378702", 0.89673),
+    ("--mining", "fixed", "--trials", "100000"): ("fixed", "0.8907733333333333", 0.88936),
+}
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("flags", ATTACK_GOLDENS, ids=["default", "fixed"])
+def test_attack_golden(capsys, flags, fmt):
+    mining, closed_form, pinned = ATTACK_GOLDENS[flags]
+    estimate, std_error = reference_estimate(mining, DEFAULT_TRIALS)
+    assert estimate == pinned
+    code, out, err = run_capture(capsys, ["attack", *flags, "--format", fmt])
+    assert code == 0 and err == ""
+    cells = [mining, "256", "1000.0", "0.0", "65.536", closed_form,
+             repr(estimate), repr(std_error), "100000", "42"]
+    columns = ["mining", "key_bits", "clock_hz", "overhead_seconds", "break_seconds",
+               "p_closed_form", "p_estimate", "std_error", "trials", "seed"]
+    if fmt == "csv":
+        assert out == ",".join(columns) + "\n" + ",".join(cells) + "\n"
+    elif fmt == "md":
+        assert out == (
+            "| " + " | ".join(columns) + " |\n"
+            + "| " + " | ".join("---" for _ in columns) + " |\n"
+            + "| " + " | ".join(cells) + " |\n"
+        )
+    else:
+        assert out == (
+            "[\n  {\n"
+            f'    "mining": "{mining}",\n'
+            '    "key_bits": 256,\n'
+            '    "clock_hz": 1000.0,\n'
+            '    "overhead_seconds": 0.0,\n'
+            '    "break_seconds": 65.536,\n'
+            f'    "p_closed_form": {closed_form},\n'
+            f'    "p_estimate": {estimate!r},\n'
+            f'    "std_error": {std_error!r},\n'
+            '    "trials": 100000,\n'
+            '    "seed": 42\n'
+            "  }\n]\n"
+        )
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_attack_prints_a_negative_zero_overhead_as_zero(capsys, fmt):
+    code, out, _ = run_capture(
+        capsys, ["attack", "--overhead", "-0", "--trials", "10", "--format", fmt]
+    )
+    _, positive, _ = run_capture(
+        capsys, ["attack", "--overhead", "0", "--trials", "10", "--format", fmt]
+    )
+    assert code == 0 and out == positive
+    assert "-0" not in out
+
+
 def test_attack_clock_sweep_rows(capsys):
     _, out, _ = run_capture(
         capsys,

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -103,9 +104,9 @@ def test_closed_form_is_monotone_in_clock():
 
 
 def first_words(seed, n):
-    """First words of trials 0..n-1 of the seed's stream 0, drawn the way
+    """Words of trials 0..n-1 of the seed's stream 0, drawn the way
     race_win_count draws them."""
-    return _philox(seed, 0).random_raw(4 * n)[::4]
+    return _philox(seed, 0).random_raw(n)
 
 
 def first_block_times(mining, seed, n):
@@ -185,10 +186,9 @@ def test_win_count_refuses_seeds_outside_128_bits(seed, attacker):
 
 
 def test_streams_are_independent():
-    scenario = AttackScenario(BASELINE, Memoryless())
-    a = race_win_count(scenario, seed=3, start=0, stop=5000, stream=0)
-    b = race_win_count(scenario, seed=3, start=0, stop=5000, stream=1)
-    assert a != b
+    # Win counts of two streams can agree by chance (4472 of 5000 trials
+    # each at seed 3), so compare their words, trial by trial.
+    assert (_philox(3, 0).random_raw(5000) != _philox(3, 1).random_raw(5000)).all()
 
 
 def test_monte_carlo_matches_closed_form():
@@ -374,6 +374,18 @@ def test_win_edge_gives_the_closed_form(mining):
     sampled = (edge if below else 2**53 - edge) / 2**53
     exact = success_probability_closed_form(AttackScenario(BASELINE, mining))
     assert abs(sampled - exact) <= 2**-53
+
+
+def test_win_edge_of_a_huge_mean_does_not_warn():
+    # The bisection reaches k where -mean * log1p(-u) overflows to inf;
+    # the rule orders inf correctly, so the edge is the float rule's.
+    mining = Memoryless(1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        edge, below = _win_edge(mining, 1.7e308)
+        assert not below
+        assert not 1.7e308 <= _first_block_times(mining, np.float64(edge - 1) * 2.0**-53)
+        assert 1.7e308 <= _first_block_times(mining, np.float64(edge) * 2.0**-53)
 
 
 def test_certain_rows_draw_nothing(monkeypatch):

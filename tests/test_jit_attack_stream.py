@@ -1,6 +1,8 @@
-"""The Philox trial stream behind race_win_count, pinned to its first
-definition, the chunked draw's merge identity and memory bound, and its
-independence from the number of worker threads."""
+"""The Philox trial stream behind race_win_count, pinned to numpy's own
+draws (trial t is word t of the stream, and its uniform the t-th double
+of Generator.random), positioning at any word, the chunked draw's merge
+identity and memory bound, and its independence from the number of
+worker threads."""
 
 import subprocess
 import sys
@@ -22,6 +24,7 @@ from qsafe.jit_attack_sim import (
     Memoryless,
     QuantumAttacker,
     _philox,
+    _seek,
     _workers,
     race_win_count,
 )
@@ -31,25 +34,27 @@ CHUNK = _CHUNK_TRIALS
 COUNTS = (CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5)
 
 
+def stream_key(seed, stream):
+    return np.random.SeedSequence((seed, stream)).generate_state(2, np.uint64)
+
+
 def reference_uniforms(seed, stream, start, count):
-    """The stream as first defined: Generator.random draws 4 doubles per
-    counter block and each trial keeps the first."""
-    key = np.random.SeedSequence((seed, stream)).generate_state(2, np.uint64)
-    bitgen = np.random.Philox(key=key)
-    if start:
-        bitgen.advance(start)
-    return np.random.Generator(bitgen).random(4 * count)[::4]
+    """Uniforms of trials [start, start + count): doubles start on of one
+    continuous Generator.random draw of the stream, so nothing in it
+    positions a bit generator."""
+    generator = np.random.Generator(np.random.Philox(key=stream_key(seed, stream)))
+    return generator.random(start + count)[start:]
 
 
 def next_uniforms(bitgen, count):
-    """Uniforms of the next count trials, converted from the first words
+    """Uniforms of the next count trials, converted from the words
     race_win_count draws: (word >> 11) * 2**-53."""
-    return (bitgen.random_raw(4 * count)[::4] >> 11) * 2.0**-53
+    return (bitgen.random_raw(count) >> 11) * 2.0**-53
 
 
 @pytest.mark.parametrize("seed", [42, 0, 5, 2**64, 2**128 - 2**70 + 3, 2**128 - 1])
 @pytest.mark.parametrize("stream", [0, 1])
-@pytest.mark.parametrize("start", [0, 1, 70_000])
+@pytest.mark.parametrize("start", [0, 1, 3, 70_000, 70_001])
 def test_uniforms_match_reference_stream_bit_for_bit(seed, stream, start):
     for count in COUNTS:
         expected = reference_uniforms(seed, stream, start, count).tobytes()
@@ -61,21 +66,65 @@ def test_uniforms_match_reference_stream_bit_for_bit(seed, stream, start):
         assert np.concatenate(chunks).tobytes() == expected
 
 
+# Two positions up to 40 words apart, above a block-aligned base that may
+# lie far into the stream: from either kind of start, one positioned or
+# one reached by drawing, _seek lands where one continuous draw is.
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**128 - 1),
+    stream=st.integers(0, 3),
+    base_block=st.one_of(st.just(0), st.integers(0, 2**62)),
+    ends=st.tuples(st.integers(0, 40), st.integers(0, 40)).map(sorted),
+)
+@example(seed=42, stream=0, base_block=0, ends=[0, 0])
+@example(seed=42, stream=0, base_block=0, ends=[1, 3])
+@example(seed=42, stream=1, base_block=0, ends=[3, 4])
+@example(seed=42, stream=1, base_block=0, ends=[5, 6])
+@example(seed=42, stream=1, base_block=0, ends=[2, 13])
+def test_positioning_at_any_word_equals_one_continuous_draw(seed, stream, base_block, ends):
+    position, word = ends
+    bitgen = np.random.Philox(key=stream_key(seed, stream))
+    bitgen.advance(base_block)  # at base_block's first word: nothing drawn yet
+    continuous = bitgen.random_raw(word + 8)
+    base = base_block * 4
+    assert (_philox(seed, stream, base + word).random_raw(8) == continuous[word:]).all()
+    moved = _philox(seed, stream, base + position)
+    _seek(moved, base + position, base + word)
+    assert (moved.random_raw(8) == continuous[word:]).all()
+    # from a position reached by drawing, with part of a block still unread
+    drawn = _philox(seed, stream, base)
+    drawn.random_raw(position)
+    _seek(drawn, base + position, base + word)
+    assert (drawn.random_raw(8) == continuous[word:]).all()
+
+
+def reference_wins(mining, seed, stream, start, stop):
+    """Wins over trials [start, stop) by the float rule on reference_uniforms:
+    the break ends no later than the first block."""
+    uniforms = reference_uniforms(seed, stream, start, stop - start)
+    if isinstance(mining, FixedInterval):
+        times = mining.blocktime_seconds - uniforms * mining.blocktime_seconds
+    else:
+        times = -mining.mean_blocktime_seconds * np.log1p(-uniforms)
+    return int(np.count_nonzero(256**2 / 1000.0 <= times))
+
+
 # Counts over trials [70_000, 200_001), which starts inside the second
-# chunk and ends inside the fourth, computed from the whole-range draw
-# that preceded chunking.
+# chunk and ends inside the fourth, computed by reference_wins from the
+# whole-range reference draw.
 @pytest.mark.parametrize(
     "mining, seed, stream, wins",
     [
-        (FixedInterval(), 42, 0, 115_725),
-        (FixedInterval(), 42, 1, 115_735),
-        (FixedInterval(), 2**128 - 7, 3, 115_916),
-        (Memoryless(), 42, 0, 116_712),
-        (Memoryless(), 42, 1, 116_646),
-        (Memoryless(), 2**128 - 7, 3, 116_268),
+        (FixedInterval(), 42, 0, 115_858),
+        (FixedInterval(), 42, 1, 115_724),
+        (FixedInterval(), 2**128 - 7, 3, 115_890),
+        (Memoryless(), 42, 0, 116_583),
+        (Memoryless(), 42, 1, 116_426),
+        (Memoryless(), 2**128 - 7, 3, 116_592),
     ],
 )
 def test_win_counts_are_pinned_across_chunk_boundaries(mining, seed, stream, wins):
+    assert reference_wins(mining, seed, stream, 70_000, 200_001) == wins
     scenario = AttackScenario(BASELINE, mining)
     assert race_win_count(scenario, seed, 70_000, 200_001, stream=stream) == wins
 
@@ -212,8 +261,11 @@ def test_worker_error_reaches_the_caller(monkeypatch, failing):
 
 
 def win_count_peak(mining):
-    """tracemalloc peak of one race_win_count over 2**22 trials."""
+    """tracemalloc peak of one race_win_count over 2**22 trials, after a
+    first draw has made the one-time imports (numpy loads numpy.random
+    on first use)."""
     scenario = AttackScenario(BASELINE, mining)
+    race_win_count(scenario, seed=1, start=0, stop=CHUNK)
     tracemalloc.start()
     try:
         race_win_count(scenario, seed=1, start=0, stop=1 << 22)
@@ -225,8 +277,9 @@ def win_count_peak(mining):
 @pytest.mark.parametrize("mining", [FixedInterval(), Memoryless()], ids=["fixed", "memoryless"])
 def test_win_count_memory_is_bounded_by_the_chunk(mining):
     # At the machine's own worker count.  A whole-range draw of 2**22
-    # trials peaks near 192 MB.
-    assert win_count_peak(mining) < 8 * 2**20
+    # trials would hold 32 MB of words, and a chunk drawn at 4 words a
+    # trial peaks near 2 MB.
+    assert win_count_peak(mining) < 2**20
 
 
 @pytest.mark.parametrize("mining", [FixedInterval(), Memoryless()], ids=["fixed", "memoryless"])
@@ -234,7 +287,7 @@ def test_win_count_memory_does_not_grow_with_the_worker_count(monkeypatch, minin
     most_workers = CHUNK // _MIN_STEP_TRIALS
     monkeypatch.setattr(jit_attack_sim, "_usable_cpus", lambda: most_workers)
     assert _workers(0, 1 << 22)[0] == most_workers
-    assert win_count_peak(mining) < 8 * 2**20
+    assert win_count_peak(mining) < 2**20
 
 
 # Minor page faults over repeated draws in a fresh interpreter, per step
@@ -265,9 +318,10 @@ def faults_per_step(*argv):
     return float(result.stdout)
 
 
-# A step allocates up to about 3 MB.  If its arrays outlive the next draw,
-# malloc can trim the heap and fault the pages in again every step: 30 to
-# 140 pages a step, depending on when numpy was imported.
+# A step allocates up to about 0.6 MB.  If its arrays outlive the next
+# draw, malloc can trim the heap and fault the pages in again every step:
+# 30 to 140 pages a step when a trial took 4 words, depending on when
+# numpy was imported.
 @pytest.mark.skipif(sys.platform != "linux", reason="glibc heap trimming")
 def test_win_count_reuses_its_pages_from_chunk_to_chunk():
     assert faults_per_step() < 16  # at the machine's own worker count
