@@ -95,11 +95,11 @@ _EXPORTS = {
     ),
     "migration_planner": (
         "DEFAULT_SNAPSHOT", "EveryKthBlock", "FractionOfEachBlock",
-        "InvalidBandwidth", "UtxoSnapshot", "bandwidth_table", "lower_bound_duration",
+        "UtxoSnapshot", "bandwidth_table", "lower_bound_duration",
         "mixed_duration", "throttled_schedule",
     ),
     "jit_attack_sim": (
-        "AttackScenario", "FixedInterval", "InvalidClock", "Memoryless",
+        "AttackScenario", "FixedInterval", "Memoryless",
         "QuantumAttacker", "break_duration", "race_win_count",
         "success_probability_closed_form", "success_probability_monte_carlo",
         "sweep",
@@ -108,7 +108,7 @@ _EXPORTS = {
         "PqScheme", "post_upgrade_layout", "post_upgrade_transaction_weight",
         "signature_ratio", "throughput_slowdown", "transactions_per_block",
     ),
-    "cli_report": ("load_snapshot", "render_report", "round_half_up", "run"),
+    "cli_report": ("load_snapshot", "render_report", "run"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

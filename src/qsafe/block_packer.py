@@ -79,6 +79,17 @@ def mega_capacity(per_input: int, overhead: int, params: NetworkParams = DEFAULT
     return (usable - overhead) // per_input
 
 
+def _nonzero_capacity(per_input: int, overhead: int, params: NetworkParams) -> int:
+    """``mega_capacity``, refusing a block that fits not even one input."""
+    capacity = mega_capacity(per_input, overhead, params)
+    if capacity < 1:
+        raise InfeasibleBlock(
+            f"not even one {per_input}-WU input fits the usable block weight "
+            f"{params.usable_block_weight()} beside the fixed overhead {overhead}"
+        )
+    return capacity
+
+
 def per_block_capacity(
     scheme: UpgradeScheme,
     mode: PackingMode = PackingMode.MEGA_TRANSACTION,
@@ -87,13 +98,8 @@ def per_block_capacity(
     """UTXO upgrades that fit in one block under the given strategy; at
     least 1, or InfeasibleBlock."""
     if mode is PackingMode.MEGA_TRANSACTION:
-        per_input, overhead = per_input_weight(scheme), fixed_overhead(scheme)
-    else:
-        per_input, overhead = standalone_upgrade_weight(), 0
-    capacity = mega_capacity(per_input, overhead, params)
-    if capacity < 1:
-        raise InfeasibleBlock(f"per-block capacity is zero for {scheme.value}/{mode.value}")
-    return capacity
+        return _nonzero_capacity(per_input_weight(scheme), fixed_overhead(scheme), params)
+    return _nonzero_capacity(standalone_upgrade_weight(), 0, params)
 
 
 def blocks_required(

@@ -152,16 +152,18 @@ def load_snapshot(path: str | None) -> UtxoSnapshot:
     Expected shape: an object with integer ``total_utxos`` (required),
     optional ``schnorr_fraction`` in [0, 1], optional ``as_of`` string.
     Decimal literals are read as exact fractions, so ``0.3`` is 3/10.
-    ``UtxoSnapshot`` checks the values.
+    ``UtxoSnapshot`` checks the values; any fault raises one ValueError
+    naming the path.
     """
     from .migration_planner import DEFAULT_SNAPSHOT, UtxoSnapshot
 
     if path is None:
         return DEFAULT_SNAPSHOT
     with open(path, encoding="utf-8") as handle:
+        # Bad UTF-8, bad JSON and too many digits raise ValueError; deep nesting, RecursionError.
         try:
             payload = json.load(handle, parse_float=Fraction)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ValueError(f"snapshot {path}: invalid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ValueError(f"snapshot {path}: expected a JSON object")

@@ -39,7 +39,9 @@ importing qsafe and running its exact subcommands never loads it.
 from __future__ import annotations
 
 import math
+import operator
 import os
+import sys
 import threading
 from typing import TYPE_CHECKING
 
@@ -51,12 +53,11 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-class InvalidClock(ValueError):
-    """Effective clock speed must be finite and positive."""
-
-
-def _finite_positive(value: float) -> bool:
-    return math.isfinite(value) and value > 0
+def _check_block_time(name: str, value: float) -> None:
+    # A subnormal time has too few bits for first-block times to sample
+    # the closed form.
+    if not (math.isfinite(value) and value >= sys.float_info.min):
+        raise ValueError(f"{name} must be finite and at least {sys.float_info.min}, got {value}")
 
 
 class QuantumAttacker(_Record):
@@ -68,10 +69,12 @@ class QuantumAttacker(_Record):
     overhead_seconds: float = 0.0
 
     def _check(self) -> None:
+        # A whole number of bits: a float raises TypeError.
+        object.__setattr__(self, "key_bits", operator.index(self.key_bits))
         if self.key_bits < 0:
             raise ValueError(f"key_bits must be >= 0, got {self.key_bits}")
-        if not _finite_positive(self.effective_clock_hz):
-            raise InvalidClock(
+        if not (math.isfinite(self.effective_clock_hz) and self.effective_clock_hz > 0):
+            raise ValueError(
                 "effective_clock_hz must be finite and positive, "
                 f"got {self.effective_clock_hz}"
             )
@@ -97,10 +100,7 @@ class FixedInterval(_Record):
     blocktime_seconds: float = 600.0
 
     def _check(self) -> None:
-        if not _finite_positive(self.blocktime_seconds):
-            raise ValueError(
-                f"blocktime_seconds must be finite and positive, got {self.blocktime_seconds}"
-            )
+        _check_block_time("blocktime_seconds", self.blocktime_seconds)
 
 
 class Memoryless(_Record):
@@ -109,11 +109,7 @@ class Memoryless(_Record):
     mean_blocktime_seconds: float = 600.0
 
     def _check(self) -> None:
-        if not _finite_positive(self.mean_blocktime_seconds):
-            raise ValueError(
-                "mean_blocktime_seconds must be finite and positive, "
-                f"got {self.mean_blocktime_seconds}"
-            )
+        _check_block_time("mean_blocktime_seconds", self.mean_blocktime_seconds)
 
 
 MiningModel = FixedInterval | Memoryless

@@ -25,10 +25,6 @@ from .block_packer import (
 from .weight_model import DEFAULT_PARAMS, NetworkParams
 
 
-class InvalidBandwidth(ValueError):
-    """Bandwidth fraction outside (0, 1], or a schedule that allocates none."""
-
-
 class UtxoSnapshot(_Record):
     """Size and signature-scheme mix of the UTXO set at a dated point.
 
@@ -63,7 +59,7 @@ DEFAULT_SNAPSHOT = UtxoSnapshot(as_of="2024-06", total=186_676_874, schnorr_frac
 def _as_bandwidth(value) -> Fraction:
     bandwidth = Fraction(value)
     if not 0 < bandwidth <= 1:
-        raise InvalidBandwidth(f"bandwidth must be in (0, 1], got {value}")
+        raise ValueError(f"bandwidth must be in (0, 1], got {value}")
     return bandwidth
 
 
@@ -76,7 +72,7 @@ class EveryKthBlock(_Record):
         # A whole number of blocks: a float k raises TypeError.
         object.__setattr__(self, "k", operator.index(self.k))
         if self.k < 1:
-            raise InvalidBandwidth(f"k must be >= 1, got {self.k}")
+            raise ValueError(f"k must be >= 1, got {self.k}")
 
 
 class FractionOfEachBlock(_Record):
@@ -211,7 +207,7 @@ def throttled_schedule(
     else:
         stride, share = 1, int(capacity * schedule_style.fraction)  # floor
         if share < 1:
-            raise InvalidBandwidth(
+            raise ValueError(
                 f"fraction {schedule_style.fraction} of capacity {capacity} "
                 "floors to zero upgrades per block"
             )

@@ -22,7 +22,7 @@ from .weight_model import (
     single_in_single_out,
     transaction_weight,
 )
-from .block_packer import InfeasibleBlock, mega_capacity
+from .block_packer import _nonzero_capacity
 
 
 class PqScheme(Enum):
@@ -71,8 +71,8 @@ def transactions_per_block(
     scheme: PqScheme, params: NetworkParams = DEFAULT_PARAMS
 ) -> int:
     """Whole canonical transactions of this scheme fitting in one block;
-    InfeasibleBlock if the usable block weight is not positive."""
-    return mega_capacity(post_upgrade_transaction_weight(scheme), 0, params)
+    at least 1, or InfeasibleBlock."""
+    return _nonzero_capacity(post_upgrade_transaction_weight(scheme), 0, params)
 
 
 def throughput_slowdown(
@@ -85,10 +85,4 @@ def throughput_slowdown(
     signatures grow.  InfeasibleBlock if either transaction does not fit.
     """
     baseline = transactions_per_block(PqScheme.ECDSA_256, params)
-    per_block = transactions_per_block(scheme, params)
-    if per_block < 1:
-        raise InfeasibleBlock(
-            f"a {post_upgrade_transaction_weight(scheme)}-WU {scheme.value} transaction "
-            f"does not fit the usable block weight {params.usable_block_weight()}"
-        )
-    return Fraction(baseline, per_block)
+    return Fraction(baseline, transactions_per_block(scheme, params))

@@ -87,7 +87,7 @@ def test_capacity_below_one_upgrade_raises(mode, limit):
     # one short of a standalone upgrade.  Neither may report capacity 0.
     params = NetworkParams(block_weight_limit=limit)
     assert mega_capacity(per_input_weight(ECDSA), fixed_overhead(ECDSA), params) == 0
-    with pytest.raises(InfeasibleBlock):
+    with pytest.raises(InfeasibleBlock, match="not even one"):
         per_block_capacity(ECDSA, mode, params)
     with pytest.raises(InfeasibleBlock):
         blocks_required(1, ECDSA, mode, params)
@@ -113,8 +113,6 @@ def test_blocks_required_ceiling_bracket_randomized():
         try:
             cap = per_block_capacity(scheme, MEGA, params)
         except InfeasibleBlock:
-            continue
-        if cap < 1:
             with pytest.raises(InfeasibleBlock):
                 blocks_required(n, scheme, MEGA, params)
             continue

@@ -2,7 +2,8 @@
 exits 1 with one error line.
 
 Argv is generated from each subcommand's own flags, read from the
-parser, with values drawn from extreme and malformed literals.
+parser, with values drawn from extreme and malformed literals.  Snapshot
+files are generated the same way, as bytes.
 """
 
 import argparse
@@ -13,7 +14,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from qsafe.cli_report import build_parser, run
@@ -79,6 +80,12 @@ def cells(text, fmt):
     return [cell for row in list(csv.reader(io.StringIO(text)))[1:] for cell in row]
 
 
+def assert_finite_cells(text, fmt):
+    found = cells(text, fmt)
+    assert found
+    assert not [cell for cell in found if cell.lower().lstrip("-") in ("nan", "inf", "infinity")]
+
+
 @pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
@@ -92,14 +99,62 @@ def test_run_prints_finite_cells_or_exits_one_with_one_error_line(command, data)
         for word, value in zip(argv, argv[1:]):
             if word == "--format":
                 fmt = value  # the last one given wins
-        found = cells(out, fmt)
-        assert found
-        assert not [cell for cell in found if cell.lower().lstrip("-") in ("nan", "inf", "infinity")]
+        assert_finite_cells(out, fmt)
     else:
         assert code == 1
         assert out == ""
         assert err.startswith("qsafe: error: ")
         assert sum(line.startswith("qsafe: error:") for line in err.splitlines()) == 1
+
+
+# Snapshot files: values from tiny and huge to not numbers at all, nesting
+# past what json decodes, and bytes that are not UTF-8.
+DEPTHS = st.integers(1, 3_000) | st.just(200_000)
+NUMBERS = st.one_of(
+    st.integers().map(str),
+    st.integers(4_000, 5_000).map(lambda digits: "9" * digits),  # Python's int-digit limit
+    st.sampled_from(["1e-400", "5e-324", "1e400", "-0", "0.3", "1.5", "-1", "10.5"]),
+    st.sampled_from(["NaN", "Infinity", "-Infinity"]),
+)
+JSON_VALUES = (
+    NUMBERS
+    | st.sampled_from(["true", "null", '"10"', "[]", "{}"])
+    | DEPTHS.map(lambda depth: "[" * depth + "]" * depth)
+)
+SNAPSHOT_TEXTS = st.one_of(
+    st.builds('{{"total_utxos": {}, "schnorr_fraction": {}}}'.format, JSON_VALUES, JSON_VALUES),
+    st.builds('{{"total_utxos": {}}}'.format, JSON_VALUES),
+    DEPTHS.map(lambda depth: "[" * depth),
+    st.sampled_from(["", "{", "[1, 2]", '{"as_of": "2024-06"}']),
+)
+SNAPSHOT_FILES = st.one_of(
+    SNAPSHOT_TEXTS.map(str.encode),
+    st.builds(bytes.__add__, st.sampled_from([b"\xff\xfe", b"\xef\xbb\xbf", b"\x80"]),
+              SNAPSHOT_TEXTS.map(str.encode)),
+    st.binary(max_size=64),
+)
+
+
+# Each example writes its file afresh, so sharing tmp_path is safe.
+@settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(body=SNAPSHOT_FILES)
+@example(body=b"[" * 200_000)
+@example(body=b'{"total_utxos": ' + b"9" * 5_000 + b"}")
+@example(body=b'\xff\xfe{"total_utxos": 10}')
+def test_a_snapshot_file_prints_finite_cells_or_exits_one_naming_it(tmp_path, body):
+    path = tmp_path / "snapshot.json"
+    path.write_bytes(body)
+    code, out, err = run_captured(["plan", "--snapshot", str(path)])
+    assert "Traceback" not in err
+    if code == 0:
+        assert err == ""
+        assert_finite_cells(out, "csv")
+    else:
+        assert code == 1 and out == ""
+        assert err.startswith(f"qsafe: error: snapshot {path}: ")
+        assert err.count("\n") == 1
 
 
 @pytest.mark.xfail(

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from qsafe.jit_attack_sim import (
     AttackScenario,
     FixedInterval,
-    InvalidClock,
     Memoryless,
     QuantumAttacker,
     _first_block_times,
@@ -23,6 +22,7 @@ from qsafe.jit_attack_sim import (
 )
 
 BASELINE = QuantumAttacker(key_bits=256, effective_clock_hz=1000.0)
+BAD_CLOCK = "effective_clock_hz must be finite and positive"
 
 
 def test_break_duration_baseline():
@@ -39,10 +39,18 @@ def test_break_duration_scales_and_adds_overhead():
 
 
 def test_break_duration_rejects_nonpositive_clock():
-    with pytest.raises(InvalidClock):
+    with pytest.raises(ValueError, match=BAD_CLOCK):
         break_duration(QuantumAttacker(key_bits=256, effective_clock_hz=0.0))
-    with pytest.raises(InvalidClock):
+    with pytest.raises(ValueError, match=BAD_CLOCK):
         break_duration(QuantumAttacker(key_bits=256, effective_clock_hz=-5.0))
+
+
+@pytest.mark.parametrize("key_bits", [256.5, 256.0])
+def test_attacker_refuses_a_fractional_key_size(key_bits):
+    # Whole bits, as the CLI parses them: a float is not squared into a
+    # break time.
+    with pytest.raises(TypeError):
+        QuantumAttacker(key_bits=key_bits)
 
 
 def test_attacker_validation():
@@ -247,11 +255,13 @@ def test_sweep_rejects_empty_range():
 
 def test_sweep_propagates_invalid_clock():
     scenario = AttackScenario(BASELINE, Memoryless())
-    with pytest.raises(InvalidClock):
+    with pytest.raises(ValueError, match=BAD_CLOCK):
         sweep(scenario, [1000.0, 0.0], n_trials=10, seed=1)
 
 
-@pytest.mark.parametrize("bad", [0.0, -600.0, math.nan, math.inf, -math.inf])
+# A subnormal block time has too few bits to sample the closed form: at
+# 5e-324 s with a break as long, half the trials would win, not none.
+@pytest.mark.parametrize("bad", [0.0, -600.0, math.nan, math.inf, -math.inf, 5e-324, 1e-310])
 def test_mining_models_reject_blocktime_not_finite_and_positive(bad):
     with pytest.raises(ValueError):
         FixedInterval(bad)
@@ -261,7 +271,7 @@ def test_mining_models_reject_blocktime_not_finite_and_positive(bad):
 
 @pytest.mark.parametrize("bad", [0.0, -5.0, math.nan, math.inf])
 def test_attacker_rejects_clock_not_finite_and_positive(bad):
-    with pytest.raises(InvalidClock):
+    with pytest.raises(ValueError, match=BAD_CLOCK):
         QuantumAttacker(key_bits=256, effective_clock_hz=bad)
 
 
@@ -276,7 +286,7 @@ def test_sweep_validates_every_clock_before_drawing(monkeypatch):
         raise AssertionError("trials drawn before every clock was checked")
 
     monkeypatch.setattr("qsafe.jit_attack_sim.success_probability_monte_carlo", no_draws)
-    with pytest.raises(InvalidClock):
+    with pytest.raises(ValueError, match=BAD_CLOCK):
         sweep(AttackScenario(BASELINE, Memoryless()), [1000.0, math.nan], n_trials=10, seed=1)
 
 
@@ -297,7 +307,8 @@ def test_closed_form_is_a_probability_for_every_accepted_input(
             QuantumAttacker(key_bits, effective_clock_hz=clock_hz, overhead_seconds=overhead)
         return
     attacker = QuantumAttacker(key_bits, effective_clock_hz=clock_hz, overhead_seconds=overhead)
-    mining = Memoryless(blocktime) if memoryless else FixedInterval(blocktime)
+    mining = accepted_or_none(Memoryless if memoryless else FixedInterval, blocktime)
+    assume(mining is not None)  # a subnormal block time is refused
     assert 0.0 <= success_probability_closed_form(AttackScenario(attacker, mining)) <= 1.0
 
 
@@ -368,12 +379,26 @@ def test_win_edge_agrees_with_the_float_rule(
     assert pipeline_wins(mining, t_break, ks) == [(k < edge) == below for k in ks]
 
 
-@pytest.mark.parametrize("mining", [FixedInterval(), Memoryless()], ids=["fixed", "memoryless"])
-def test_win_edge_gives_the_closed_form(mining):
-    edge, below = _win_edge(mining, break_duration(BASELINE))
+@settings(max_examples=500, deadline=None)
+@given(
+    key_bits=st.integers(0, 2**600),
+    clock_hz=SECONDS,
+    overhead=SECONDS,
+    blocktime=SECONDS,
+    memoryless=st.booleans(),
+)
+@example(key_bits=256, clock_hz=1000.0, overhead=0.0, blocktime=600.0, memoryless=False)
+@example(key_bits=256, clock_hz=1000.0, overhead=0.0, blocktime=600.0, memoryless=True)
+def test_win_edge_gives_the_closed_form(key_bits, clock_hz, overhead, blocktime, memoryless):
+    # Over its trials' k, a row wins with probability exactly K / 2**53
+    # (or 1 - K / 2**53), K being the edge.
+    attacker = accepted_or_none(QuantumAttacker, key_bits, clock_hz, overhead)
+    mining = accepted_or_none(Memoryless if memoryless else FixedInterval, blocktime)
+    assume(attacker is not None and mining is not None)
+    edge, below = _win_edge(mining, break_duration(attacker))
     sampled = (edge if below else 2**53 - edge) / 2**53
-    exact = success_probability_closed_form(AttackScenario(BASELINE, mining))
-    assert abs(sampled - exact) <= 2**-53
+    exact = success_probability_closed_form(AttackScenario(attacker, mining))
+    assert abs(sampled - exact) <= 2 * 2**-53
 
 
 def test_win_edge_of_a_huge_mean_does_not_warn():

@@ -94,8 +94,9 @@ def test_reserves_reduce_capacity():
 def test_slowdown_of_a_transaction_that_does_not_fit_raises():
     # 11 ECDSA transactions fit 5000 WU; one 8237-WU SPHINCS+ one does not.
     params = NetworkParams(block_weight_limit=5000)
-    assert transactions_per_block(PqScheme.SPHINCS_PLUS, params) == 0
-    with pytest.raises(InfeasibleBlock, match="8237-WU sphincs-plus transaction"):
+    with pytest.raises(InfeasibleBlock, match="not even one 8237-WU input fits"):
+        transactions_per_block(PqScheme.SPHINCS_PLUS, params)
+    with pytest.raises(InfeasibleBlock, match="not even one 8237-WU input fits"):
         throughput_slowdown(PqScheme.SPHINCS_PLUS, params)
     assert throughput_slowdown(PqScheme.FALCON, params) == Fraction(11, 4)  # 1047 WU fits 4
 
@@ -115,15 +116,16 @@ def test_a_block_with_no_usable_weight_raises():
 @pytest.mark.parametrize("reserves", [False, True])
 def test_ecdsa_baseline_is_the_one_per_transaction_capacity(limit, reserves):
     params = NetworkParams(block_weight_limit=limit, apply_reserves=reserves)
+    if params.usable_block_weight() < 445:
+        for call in (transactions_per_block, throughput_slowdown):
+            with pytest.raises(InfeasibleBlock):
+                call(PqScheme.ECDSA_256, params)
+        return
     per_block = transactions_per_block(PqScheme.ECDSA_256, params)
     assert per_block == params.usable_block_weight() // 445
-    if per_block:
-        assert per_block == per_block_capacity(
-            UpgradeScheme.ECDSA_SEGWIT, PackingMode.ONE_PER_TRANSACTION, params
-        )
-    else:
-        with pytest.raises(InfeasibleBlock):
-            throughput_slowdown(PqScheme.ECDSA_256, params)
+    assert per_block == per_block_capacity(
+        UpgradeScheme.ECDSA_SEGWIT, PackingMode.ONE_PER_TRANSACTION, params
+    )
 
 
 def test_layout_weight_consistency():
