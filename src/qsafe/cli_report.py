@@ -135,15 +135,43 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(f"{message}\n{self.format_usage().rstrip()}")
 
 
+# Fraction("1eN") builds 10**N, in time superlinear in N, before any
+# range check can run.  No accepted value needs an exponent beyond
+# Python's int-digit limit, so a larger one is refused unbuilt.
+_MAX_EXPONENT = 4300
+
+
+def _exponent_too_large(text: str) -> bool:
+    """Whether a decimal literal's exponent is beyond _MAX_EXPONENT."""
+    match = re.search(r"[eE][-+]?([\d_]+)", text)
+    if match is None:
+        return False
+    digits = match[1].replace("_", "").lstrip("0")
+    return len(digits) > len(str(_MAX_EXPONENT)) or int(digits or 0) > _MAX_EXPONENT
+
+
+def _exponent_message(text: str) -> str:
+    return f"decimal exponent beyond {_MAX_EXPONENT} in magnitude: {text!r}"
+
+
 # argparse replaces ValueError messages from type= callbacks with a
 # generic one; ArgumentTypeError text survives verbatim.
 def _parse_fraction(text: str, field: str) -> Fraction:
     """The exact value of a decimal or p/q literal; nan, inf and 1/0 are
     not numbers."""
+    if _exponent_too_large(text):
+        raise argparse.ArgumentTypeError(f"{field}: {_exponent_message(text)}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"{field}: not a number: {text!r}") from exc
+
+
+def _snapshot_decimal(text: str) -> Fraction:
+    """A snapshot's decimal literal, exactly."""
+    if _exponent_too_large(text):
+        raise ValueError(_exponent_message(text))
+    return Fraction(text)
 
 
 def load_snapshot(path: str | None) -> UtxoSnapshot:
@@ -160,9 +188,10 @@ def load_snapshot(path: str | None) -> UtxoSnapshot:
     if path is None:
         return DEFAULT_SNAPSHOT
     with open(path, encoding="utf-8") as handle:
-        # Bad UTF-8, bad JSON and too many digits raise ValueError; deep nesting, RecursionError.
+        # Bad UTF-8, bad JSON, too many digits and too large an exponent
+        # raise ValueError; deep nesting, RecursionError.
         try:
-            payload = json.load(handle, parse_float=Fraction)
+            payload = json.load(handle, parse_float=_snapshot_decimal)
         except (ValueError, RecursionError) as exc:
             raise ValueError(f"snapshot {path}: invalid JSON: {exc}") from exc
     if not isinstance(payload, dict):
@@ -223,6 +252,7 @@ def _schedule_rows(snapshot, bandwidths, style_name, params):
     from .migration_planner import (
         EveryKthBlock,
         FractionOfEachBlock,
+        _shown,
         throttled_schedule,
     )
 
@@ -233,7 +263,7 @@ def _schedule_rows(snapshot, bandwidths, style_name, params):
                 if bandwidth.numerator != 1:
                     raise ValueError(
                         "bandwidth: every-kth scheduling needs a unit fraction "
-                        f"(1/k), got {bandwidth}"
+                        f"(1/k), got {_shown(bandwidth)}"
                     )
                 style = EveryKthBlock(bandwidth.denominator)
             else:

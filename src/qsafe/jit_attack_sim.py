@@ -20,20 +20,30 @@ k * 2**-53, so the trials' uniforms are the doubles numpy's
 first-block time is monotone in that uniform, so the trials a row's
 attacker wins are exactly those with k on one side of an integer edge K,
 which ``_win_edge`` finds once per row by bisecting the float rule over
-k.  A trial is then decided by one integer compare of its raw word, and
-a row where every trial decides alike draws nothing.  Any contiguous
-range of trials can be counted independently and merged by summing win
-counts, bit-identical to a single serial run.  ``race_win_count`` uses
-this itself: it draws its range in steps, with one worker thread per
-usable CPU taking the next step as soon as it is free, each through its
-own bit generator moved to that step's first word.  Counts are the same
-whatever the CPU count and whichever worker draws a step, and equal
-those of drawing the whole range at once.  At most ``_CHUNK_TRIALS``
-trials are in flight across all workers, so memory is bounded whatever
-the trial count and the CPU count.
+k, with Python floats and the C library's ``log1p``.  A trial is then
+decided by one integer compare of its raw word, and a row where every
+trial decides alike draws nothing.  Any contiguous range of trials can
+be counted independently and merged by summing win counts, bit-identical
+to a single serial run.
 
-numpy is imported by the functions that draw, not by this module, so
-importing qsafe and running its exact subcommands never loads it.
+``race_win_count`` counts a range with one of two kernels, which give
+the same count.  While numpy is not loaded, a range of at most
+``_PURE_TRIALS`` trials is counted in pure Python by ``_packed_below``:
+Philox computes each counter block from the block's index alone, so
+every block of a piece is computed at once, with each counter word's
+lanes packed 128 bits apart in one Python int.  That costs less than
+importing numpy.  Any other range is drawn by numpy in steps, with one
+worker thread per usable CPU taking the next step as soon as it is free,
+each through its own bit generator moved to that step's first word.
+Counts are the same whatever the CPU count and whichever worker draws a
+step.  At most ``_CHUNK_TRIALS`` trials are in flight across all
+workers, and at most ``_PACKED_BLOCKS`` blocks in the pure kernel, so
+memory is bounded whatever the trial count and the CPU count.
+
+numpy is imported only to draw a range the pure kernel does not take,
+or by ``sweep`` when its rows together exceed ``_PURE_SWEEP_TRIALS``
+trials, so importing qsafe, running its exact subcommands and a default
+``attack`` never load it.
 """
 
 from __future__ import annotations
@@ -151,13 +161,158 @@ _CHUNK_TRIALS = 1 << 16
 # _CHUNK_TRIALS // _MIN_STEP_TRIALS.
 _MIN_STEP_TRIALS = 1 << 13
 
+# While numpy is not loaded, race_win_count counts a range of at most
+# this many trials in pure Python: about 11 ms and 0.3 MB for 10**5
+# trials, against some 120 ms for importing numpy.  Once numpy is
+# loaded, it draws faster at any size.
+_PURE_TRIALS = 1 << 17
+
+# sweep imports numpy before its first row when its rows draw more than
+# this many trials in all.  The pure kernel's cost grows with the trials
+# drawn, however they are split into rows, while numpy's is mostly its
+# import and first draw; in cold interpreters on a 2-vCPU shared VM the
+# two broke even at 5.8-7.1 * 10**5 trials (five rounds of 21 runs).  A
+# cold attack of 32 clock rows at the default 10**5 trials took 449 ms
+# in pure Python and 183 ms through numpy.
+_PURE_SWEEP_TRIALS = 1 << 19
+
+# _packed_below computes this many counter blocks (2**11 trials) at a
+# time, in ints of 8 KB, so it holds about 0.3 MB whatever its range.
+_PACKED_BLOCKS = 1 << 9
+
+_MASK32 = (1 << 32) - 1
+_MASK64 = (1 << 64) - 1
+
+# Philox4x64-10's round multipliers and key increments (Salmon et al.,
+# SC'11), as numpy's Philox uses them.
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+
+
+def _philox_key(seed: int, stream: int) -> tuple[int, int]:
+    """The Philox key of the (seed, stream) stream.
+
+    A port of numpy's ``SeedSequence((seed, stream)).generate_state(2,
+    np.uint64)``: the entropy is each value's 32-bit words, low first
+    (0 is one word), hashed into a pool of 4 words, and the key is the
+    pool hashed again.  ValueError for a negative value, as numpy.
+    """
+    entropy = []
+    for value in (seed, stream):
+        if value < 0:
+            raise ValueError("expected non-negative integer")
+        entropy.append(value & _MASK32)
+        while value := value >> 32:
+            entropy.append(value & _MASK32)
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * 0x931E8875 & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        result = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return result ^ result >> 16
+
+    pool = [hashmix(word) for word in (entropy + [0] * 4)[:4]]
+    for source in range(4):
+        for target in range(4):
+            if source != target:
+                pool[target] = mix(pool[target], hashmix(pool[source]))
+    for word in entropy[4:]:
+        for target in range(4):
+            pool[target] = mix(pool[target], hashmix(word))
+    state, hash_const = [], 0x8B51F9DD
+    for word in pool:
+        word ^= hash_const
+        hash_const = hash_const * 0x58F38DED & _MASK32
+        word = word * hash_const & _MASK32
+        state.append(word ^ word >> 16)
+    return state[0] | state[1] << 32, state[2] | state[3] << 32
+
+
+def _packed_below(key: tuple[int, int], start: int, stop: int, word_edge: int) -> int:
+    """Words [start, stop) of the Philox stream keyed by key that are
+    below word_edge, for an edge in [0, 2**64].
+
+    Block b is Philox of counter b + 1 mod 2**256, since numpy's Philox
+    steps its counter before each block.  The kernel computes up to
+    _PACKED_BLOCKS blocks at a time: lane j of a packed int is bits
+    [128 j, 128 j + 128), and each of the 4 counter words is one int
+    holding that word of every block, one block a lane.  A multiply then
+    gives every lane's 128-bit product in its own lane, a shift and a
+    mask split them into hi and lo words, and XOR with the round key
+    times ``ones`` (a 1 in every lane) keys them all.  A piece ends
+    where the low counter word would wrap, so the upper words are the
+    same in all its lanes.
+
+    A word w is below the edge E exactly when bit 64 of
+    (E - 1 + 2**64) - w is set.  No lane borrows from the next, so one
+    subtraction, shift and mask leaves each lane's answer in its bit 0,
+    and int.bit_count counts them.  Words of the first and last block
+    outside [start, stop) are then taken back out.
+    """
+    if start >= stop:
+        return 0
+    first, last = start // _WORDS_PER_BLOCK, -(-stop // _WORDS_PER_BLOCK)
+    lanes = min(last - first, _PACKED_BLOCKS)
+    ones = int.from_bytes((b"\1" + bytes(15)) * lanes, "little")
+    ramp = int.from_bytes(b"".join(j.to_bytes(16, "little") for j in range(lanes)), "little")
+    # Every round key, broadcast to every lane: the same in each piece.
+    round_keys = []
+    k0, k1 = key
+    for _ in range(_PHILOX_ROUNDS):
+        round_keys.append((k0 * ones, k1 * ones))
+        k0 = (k0 + _PHILOX_W[0]) & _MASK64
+        k1 = (k1 + _PHILOX_W[1]) & _MASK64
+    m0, m1 = _PHILOX_M
+    below = 0
+    block = first
+    while block < last:
+        counter = (block + 1) % (1 << 256)
+        size = min(last - block, lanes, (1 << 64) - (counter & _MASK64))
+        if size < lanes:  # the last piece, or one ending at a wrap
+            lane_mask = (1 << 128 * size) - 1
+            piece_ones, piece_ramp = ones & lane_mask, ramp & lane_mask
+            piece_keys = [(a & lane_mask, b & lane_mask) for a, b in round_keys]
+        else:
+            piece_ones, piece_ramp, piece_keys = ones, ramp, round_keys
+        low = piece_ones * _MASK64
+        x0 = (counter & _MASK64) * piece_ones + piece_ramp
+        x1 = (counter >> 64 & _MASK64) * piece_ones
+        x2 = (counter >> 128 & _MASK64) * piece_ones
+        x3 = (counter >> 192) * piece_ones
+        for key0, key1 in piece_keys:
+            p0 = m0 * x0
+            p1 = m1 * x2
+            x0 = (p1 >> 64 & low) ^ x1 ^ key0
+            x1 = p1 & low
+            del p1
+            x2 = (p0 >> 64 & low) ^ x3 ^ key1
+            x3 = p0 & low
+            del p0
+        words = (x0, x1, x2, x3)
+        edges = (word_edge - 1 + (1 << 64)) * piece_ones
+        for word in words:
+            below += ((edges - word) >> 64 & piece_ones).bit_count()
+        if block == first:  # words before start, in lane 0
+            below -= sum(word & _MASK64 < word_edge for word in words[: start % 4])
+        block += size
+        if block == last:  # words from stop on, in the last lane
+            shift = 128 * (size - 1)
+            below -= sum(word >> shift < word_edge for word in words[(stop - 1) % 4 + 1 :])
+    return below
+
 
 def _philox(seed: int, stream: int, start: int = 0) -> np.random.Philox:
     """Bit generator of the (seed, stream) stream, positioned at trial start."""
     import numpy as np
 
-    key = np.random.SeedSequence((seed, stream)).generate_state(2, np.uint64)
-    bitgen = np.random.Philox(key=key)
+    bitgen = np.random.Philox(key=np.array(_philox_key(seed, stream), dtype=np.uint64))
     _seek(bitgen, 0, start)
     return bitgen
 
@@ -180,15 +335,15 @@ def _seek(bitgen: np.random.Philox, position: int, word: int) -> None:
         bitgen.random_raw(skip)
 
 
-def _first_block_times(mining: MiningModel, uniforms):
-    """First-block times of trials with the given uniforms in [0, 1)."""
-    import numpy as np
-
+def _first_block_time(mining: MiningModel, uniform: float) -> float:
+    """First-block time of a trial with the given uniform in [0, 1)."""
     if isinstance(mining, FixedInterval):
         b = mining.blocktime_seconds
-        return b - uniforms * b  # uniform broadcast offset in [0, B)
-    # inverse CDF; exactly one draw per trial
-    return -mining.mean_blocktime_seconds * np.log1p(-uniforms)
+        return b - uniform * b  # uniform broadcast offset in [0, B)
+    # inverse CDF; exactly one draw per trial.  A mean near the float
+    # maximum overflows to inf for uniforms near 1, which the win rule
+    # still orders correctly.
+    return -mining.mean_blocktime_seconds * math.log1p(-uniform)
 
 
 def _win_edge(mining: MiningModel, t_break: float) -> tuple[int, bool]:
@@ -199,22 +354,18 @@ def _win_edge(mining: MiningModel, t_break: float) -> tuple[int, bool]:
     monotone in the trial's k, so trial k wins exactly when
     (k < K) == below.  K is 2**53 when every trial decides alike.
     """
-    import numpy as np
 
     def wins(k: int) -> bool:
-        return bool(t_break <= _first_block_times(mining, np.float64(k) * 2.0**-53))
+        return t_break <= _first_block_time(mining, k * 2.0**-53)
 
-    # A Memoryless mean near the float maximum overflows to inf for k
-    # near 2**53, which the rule still orders correctly.
-    with np.errstate(over="ignore"):
-        below = wins(0)
-        lo, hi = 0, 1 << 53  # wins(lo) == below, and K <= hi
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if wins(mid) == below:
-                lo = mid
-            else:
-                hi = mid
+    below = wins(0)
+    lo, hi = 0, 1 << 53  # wins(lo) == below, and K <= hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if wins(mid) == below:
+            lo = mid
+        else:
+            hi = mid
     return hi, below
 
 
@@ -240,19 +391,17 @@ def _workers(start: int, stop: int) -> tuple[int, int]:
 
 
 def _worker_below(
-    edge: int, seed: int, stream: int,
+    word_edge: int, seed: int, stream: int,
     next_step: Callable[[], int | None], stop: int, step: int,
 ) -> int:
-    """Trials below edge over the steps next_step hands this worker.
+    """Words below word_edge over the steps next_step hands this worker.
 
     Steps come in increasing order, so one bit generator, moved past
     the steps other workers took, serves them all.
     """
     import numpy as np
 
-    # A word is its trial's k followed by 11 more bits, so k < edge
-    # exactly when the word is below edge << 11.
-    word_edge = np.uint64(edge << 11)
+    word_edge = np.uint64(word_edge)
     bitgen, position, below = None, 0, 0
     for step_start in iter(next_step, None):
         if bitgen is None:
@@ -275,13 +424,16 @@ def race_win_count(
     """Attacker wins over trials [start, stop) of the (seed, stream) stream.
 
     Disjoint chunks sum to the full-range count, so trial batches may run
-    concurrently and merge.  The range is drawn in steps by one worker
-    per usable CPU, the caller and a thread for each other one, and each
-    worker takes the next step as soon as it is free, so a slow CPU
-    holds up no one.  At most _CHUNK_TRIALS trials are in flight at a
-    time, so memory does not grow with stop - start.  After an error in
-    any step no worker takes another, and the error is raised here once
-    every thread has finished.  ValueError for a seed outside
+    concurrently and merge.  While numpy is not loaded, a range of at
+    most _PURE_TRIALS trials is counted in pure Python by _packed_below,
+    which costs less than importing numpy.  Any other range is drawn by
+    numpy in steps by one worker per usable CPU, the caller and a thread
+    for each other one, and each worker takes the next step as soon as
+    it is free, so a slow CPU holds up no one.  At most _CHUNK_TRIALS
+    trials are in flight at a time, so memory does not grow with
+    stop - start.  After an error in any step no worker takes another,
+    and the error is raised here once every thread has finished.  The
+    two kernels give the same count.  ValueError for a seed outside
     [0, 2**128), even when no trial needs drawing.
     """
     if not 0 <= start <= stop:
@@ -296,6 +448,19 @@ def race_win_count(
     edge, below = _win_edge(scenario.mining, break_duration(scenario.attacker))
     if edge == 1 << 53:  # every trial decides alike: nothing to draw
         return stop - start if below else 0
+    # A word is its trial's k followed by 11 more bits, so k < edge
+    # exactly when the word is below edge << 11.
+    word_edge = edge << 11
+    if stop - start <= _PURE_TRIALS and "numpy" not in sys.modules:
+        count = _packed_below(_philox_key(seed, stream), start, stop, word_edge)
+    else:
+        count = _threaded_below(word_edge, seed, stream, start, stop)
+    return count if below else stop - start - count
+
+
+def _threaded_below(word_edge: int, seed: int, stream: int, start: int, stop: int) -> int:
+    """Words below word_edge over [start, stop), drawn by numpy in steps
+    by one worker per usable CPU, as race_win_count describes."""
     workers, step = _workers(start, stop)
     starts = iter(range(start, stop, step))
     lock = threading.Lock()
@@ -309,7 +474,7 @@ def race_win_count(
     def draw(index: int) -> None:
         nonlocal failed
         try:
-            results[index] = _worker_below(edge, seed, stream, next_step, stop, step)
+            results[index] = _worker_below(word_edge, seed, stream, next_step, stop, step)
         except BaseException as exc:  # raised below, once every worker is done
             failed = True
             results[index] = exc
@@ -327,7 +492,7 @@ def race_win_count(
     for result in results:
         if isinstance(result, BaseException):
             raise result
-    return sum(results) if below else stop - start - sum(results)
+    return sum(results)
 
 
 def success_probability_monte_carlo(
@@ -349,7 +514,9 @@ def sweep(
 
     Row i uses substream i of the master seed, so rows are independent
     and each is reproducible from (seed, row index) alone.  Every clock
-    is validated before any trial runs.
+    is validated before any trial runs.  Rows that together draw more
+    than _PURE_SWEEP_TRIALS trials import numpy first, so that no row
+    is drawn in pure Python.
     """
     clocks = list(clock_range)
     if not clocks:
@@ -358,6 +525,8 @@ def sweep(
         scenario._replace(attacker=scenario.attacker._replace(effective_clock_hz=clock_hz))
         for clock_hz in clocks
     ]
+    if len(clocks) * n_trials > _PURE_SWEEP_TRIALS:
+        import numpy  # noqa: F401
     rows = []
     for index, (clock_hz, row_scenario) in enumerate(zip(clocks, row_scenarios)):
         estimate, std_error = success_probability_monte_carlo(

@@ -11,6 +11,7 @@ per-block shares plus one partial tail, so a schedule is held as that
 run length and its cost does not depend on k or on the pool size.
 """
 
+import math
 import operator
 from fractions import Fraction
 from numbers import Real
@@ -23,6 +24,16 @@ from .block_packer import (
     per_block_capacity,
 )
 from .weight_model import DEFAULT_PARAMS, NetworkParams
+
+
+def _shown(value) -> str:
+    """str(value) for a message.  An integer or fraction with a part past
+    Python's int-digit limit, which str refuses, shows its magnitude."""
+    try:
+        return str(value)
+    except ValueError:
+        magnitude = math.log10(abs(value.numerator)) - math.log10(value.denominator)
+        return f"about {'-' if value < 0 else ''}1e{magnitude:.0f}"
 
 
 class UtxoSnapshot(_Record):
@@ -47,7 +58,7 @@ class UtxoSnapshot(_Record):
             isinstance(fraction, Real) and 0 <= fraction <= 1
         ):
             raise ValueError(
-                f"schnorr_fraction must be a real number in [0, 1], got {fraction}"
+                f"schnorr_fraction must be a real number in [0, 1], got {_shown(fraction)}"
             )
 
 
@@ -59,7 +70,7 @@ DEFAULT_SNAPSHOT = UtxoSnapshot(as_of="2024-06", total=186_676_874, schnorr_frac
 def _as_bandwidth(value) -> Fraction:
     bandwidth = Fraction(value)
     if not 0 < bandwidth <= 1:
-        raise ValueError(f"bandwidth must be in (0, 1], got {value}")
+        raise ValueError(f"bandwidth must be in (0, 1], got {_shown(value)}")
     return bandwidth
 
 

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -205,6 +206,57 @@ def test_plan_schedule_k_rejects_bandwidth_as_not_a_unit_fraction(capsys, text):
 def test_plan_negative_value_after_a_space_reaches_the_range_check(capsys, flag, message, text):
     # argparse must read the value as the flag's argument, not as a flag.
     code, out, err = run_capture(capsys, ["plan", flag, text])
+    assert code == 1 and out == ""
+    assert err == f"qsafe: error: {message}\n"
+
+
+# Fraction("1eN") builds 10**N: 1e10000000 took 12 s before it was refused.
+HUGE_EXPONENTS = ["1e10000000", "1e-10000000", "1E+1_0000000", "1e4301"]
+
+
+@pytest.mark.parametrize("text", HUGE_EXPONENTS)
+@pytest.mark.parametrize("flag", ["--bandwidth", "--schnorr-fraction"])
+def test_a_huge_decimal_exponent_is_refused_before_it_is_built(capsys, flag, text):
+    began = time.perf_counter()
+    code, out, err = run_capture(capsys, ["plan", flag, text])
+    assert time.perf_counter() - began < 1
+    assert code == 1 and out == ""
+    field = flag.removeprefix("--")
+    first, *usage = err.splitlines()
+    assert first == (
+        f"qsafe: error: argument {flag}: {field}: "
+        f"decimal exponent beyond 4300 in magnitude: {text!r}"
+    )
+    assert not any(line.startswith("qsafe: error:") for line in usage)
+
+
+@pytest.mark.parametrize("text", HUGE_EXPONENTS)
+def test_a_snapshot_decimal_with_a_huge_exponent_is_refused(tmp_path, capsys, text):
+    path = tmp_path / "snap.json"
+    path.write_text(f'{{"total_utxos": 5, "schnorr_fraction": {text.replace("_", "")}}}')
+    began = time.perf_counter()
+    code, out, err = run_capture(capsys, ["plan", "--snapshot", str(path)])
+    assert time.perf_counter() - began < 1
+    assert code == 1 and out == ""
+    assert err == (
+        f"qsafe: error: snapshot {path}: invalid JSON: decimal exponent beyond 4300 "
+        f"in magnitude: {text.replace('_', '')!r}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--bandwidth", "1e4300"], "bandwidth must be in (0, 1], got about 1e4300"),
+        (["--bandwidth=-1e-4300"], "bandwidth must be in (0, 1], got about -1e-4300"),
+        (["--schnorr-fraction", "2e4300"],
+         "schnorr_fraction must be a real number in [0, 1], got about 1e4300"),
+    ],
+)
+def test_a_value_too_long_to_print_is_refused_by_its_magnitude(capsys, argv, message):
+    # The largest accepted exponent gives a value with more digits than
+    # str() converts; the range message must still be one line.
+    code, out, err = run_capture(capsys, ["plan", *argv])
     assert code == 1 and out == ""
     assert err == f"qsafe: error: {message}\n"
 

@@ -1,6 +1,7 @@
 """What ``import qsafe`` exposes, which modules each subcommand loads,
-that numpy is loaded only when a Monte Carlo draw runs, and that no
-subcommand loads ``dataclasses``, nor an exact one ``inspect``.
+that numpy is loaded only when a Monte Carlo draw is too large for the
+pure-Python kernel, and that no subcommand at its defaults loads
+``dataclasses`` or ``inspect``.
 
 Each load check runs in a fresh interpreter, because this test process
 has long since imported every qsafe module and numpy.
@@ -87,23 +88,41 @@ def test_exact_subcommands_load_only_their_modules_and_never_numpy(argv, modules
     assert loaded_after(argv) == {"numpy": False, "qsafe": modules}
 
 
+def clock_rows(n):
+    return [arg for hz in range(1000, 1000 * (n + 1), 1000) for arg in ("--clock-hz", str(hz))]
+
+
+# 5 rows of 10**5 trials stay within _PURE_SWEEP_TRIALS in all.
+COLD_ATTACKS = [["attack"], ["attack", "--trials", "10"], ["attack", *clock_rows(5)]]
+COLD_ATTACK_IDS = ["attack", "attack-10", "attack-5-rows"]
+
+
 @pytest.mark.parametrize(
-    "argv, unloaded",
-    # numpy itself imports inspect.
-    [(argv, {"dataclasses", "inspect"}) for argv, _ in EXACT_RUNS]
-    + [(["attack", "--trials", "10"], {"dataclasses"})],
-    ids=[*EXACT_IDS, "attack"],
+    "argv", [argv for argv, _ in EXACT_RUNS] + COLD_ATTACKS, ids=[*EXACT_IDS, *COLD_ATTACK_IDS]
 )
-def test_cold_commands_load_no_dataclasses_and_exact_ones_no_inspect(argv, unloaded):
+def test_cold_commands_load_no_dataclasses_inspect_or_numpy(argv):
     # The records share qsafe's own base, and inspect is most of what
-    # importing dataclasses costs a cold start.
+    # importing dataclasses costs a cold start.  numpy imports inspect,
+    # and a default attack counts its trials without numpy.
     imported = imported_by_cold_command(argv)
     assert "qsafe.cli_report" in imported  # the lines were read
-    assert imported & unloaded == set()
+    assert imported & {"dataclasses", "inspect", "numpy"} == set()
 
 
-def test_attack_loads_only_the_race_model_and_numpy_on_its_first_draw():
-    assert loaded_after(["attack", "--trials", "10"]) == {"numpy": True, "qsafe": ATTACK}
+@pytest.mark.parametrize("argv", COLD_ATTACKS, ids=COLD_ATTACK_IDS)
+def test_attack_loads_only_the_race_model_and_no_numpy(argv):
+    assert loaded_after(argv) == {"numpy": False, "qsafe": ATTACK}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    # one row of more trials than the pure kernel takes, and 6 rows of
+    # 10**5 that draw more than _PURE_SWEEP_TRIALS together
+    [["attack", "--trials", "1000000"], ["attack", *clock_rows(6)]],
+    ids=["one-large-row", "six-rows"],
+)
+def test_attack_loads_numpy_when_its_draws_exceed_the_pure_kernel(argv):
+    assert loaded_after(argv) == {"numpy": True, "qsafe": ATTACK}
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,7 @@ from qsafe.jit_attack_sim import (
     FixedInterval,
     Memoryless,
     QuantumAttacker,
-    _first_block_times,
+    _first_block_time,
     _philox,
     _win_edge,
     break_duration,
@@ -119,7 +119,8 @@ def first_words(seed, n):
 
 def first_block_times(mining, seed, n):
     """First-block times of trials 0..n-1 of the seed's stream 0."""
-    return _first_block_times(mining, (first_words(seed, n) >> 11) * 2.0**-53)
+    words = first_words(seed, n).tolist()
+    return np.array([_first_block_time(mining, (word >> 11) * 2.0**-53) for word in words])
 
 
 def test_first_block_times_are_deterministic():
@@ -346,10 +347,22 @@ def test_every_probability_is_in_the_unit_interval(
 
 
 def pipeline_wins(mining, t_break, ks):
-    """The float rule over one bulk array: k * 2**-53, first-block time,
-    then the outbid compare."""
-    uniforms = np.array(ks, dtype=np.uint64) * 2.0**-53
-    return (t_break <= _first_block_times(mining, uniforms)).tolist()
+    """The float rule, written out: k * 2**-53, first-block time with the
+    C library's log1p, then the outbid compare."""
+
+    def first_block(u):
+        if isinstance(mining, FixedInterval):
+            return mining.blocktime_seconds - u * mining.blocktime_seconds
+        return -mining.mean_blocktime_seconds * math.log1p(-u)
+
+    return [t_break <= first_block(k * 2.0**-53) for k in ks]
+
+
+# numpy's AVX-512 log1p and the C library's disagree at the edge of
+# Memoryless(36996.14669964138) against a 67174.67735184253 s break:
+# numpy's SIMD build put K at 7541542762941435, the C library's at ...436.
+AVX512_MINING = Memoryless(36996.14669964138)
+AVX512_BREAK = 67174.67735184253
 
 
 @settings(max_examples=300, deadline=None)
@@ -365,6 +378,8 @@ def pipeline_wins(mining, t_break, ks):
          memoryless=True, ks=[0] * 8)
 @example(key_bits=0, clock_hz=1.0, overhead_blocks=1.0, blocktime=600.0,
          memoryless=False, ks=[0] * 8)
+@example(key_bits=0, clock_hz=1.0, overhead_blocks=AVX512_BREAK / AVX512_MINING.mean_blocktime_seconds,
+         blocktime=AVX512_MINING.mean_blocktime_seconds, memoryless=True, ks=[0] * 8)
 def test_win_edge_agrees_with_the_float_rule(
     key_bits, clock_hz, overhead_blocks, blocktime, memoryless, ks
 ):
@@ -401,6 +416,24 @@ def test_win_edge_gives_the_closed_form(key_bits, clock_hz, overhead, blocktime,
     assert abs(sampled - exact) <= 2 * 2**-53
 
 
+@pytest.mark.parametrize(
+    "mining, t_break, expected",
+    [
+        # In exact arithmetic u <= 5/6 wins, k <= 7505999378950826.67.
+        # At k = ...827, u * 600 is 500 + 200 * 2**-53, under half an ulp
+        # of 500 (2**-44), so it rounds to 500 and the trial wins.  At
+        # ...828 it is 500 + 800 * 2**-53, which rounds to 500 + 2**-43,
+        # and 600 minus that is below 100.  (600 * (1 - u) gives ...827.)
+        (FixedInterval(600.0), 100.0, (7505999378950828, True)),
+        # The C library's log1p; numpy's AVX-512 build gave ...435.
+        (AVX512_MINING, AVX512_BREAK, (7541542762941436, False)),
+    ],
+    ids=["fixed-by-hand", "memoryless-avx512"],
+)
+def test_win_edge_is_pinned(mining, t_break, expected):
+    assert _win_edge(mining, t_break) == expected
+
+
 def test_win_edge_of_a_huge_mean_does_not_warn():
     # The bisection reaches k where -mean * log1p(-u) overflows to inf;
     # the rule orders inf correctly, so the edge is the float rule's.
@@ -409,8 +442,8 @@ def test_win_edge_of_a_huge_mean_does_not_warn():
         warnings.simplefilter("error")
         edge, below = _win_edge(mining, 1.7e308)
         assert not below
-        assert not 1.7e308 <= _first_block_times(mining, np.float64(edge - 1) * 2.0**-53)
-        assert 1.7e308 <= _first_block_times(mining, np.float64(edge) * 2.0**-53)
+        assert not 1.7e308 <= _first_block_time(mining, (edge - 1) * 2.0**-53)
+        assert 1.7e308 <= _first_block_time(mining, edge * 2.0**-53)
 
 
 def test_certain_rows_draw_nothing(monkeypatch):

@@ -2,8 +2,14 @@
 draws (trial t is word t of the stream, and its uniform the t-th double
 of Generator.random), positioning at any word, the chunked draw's merge
 identity and memory bound, and its independence from the number of
-worker threads."""
+worker threads.  The pure-Python kernel's key and counts are pinned bit
+for bit to numpy's SeedSequence and Philox.
 
+This process has numpy loaded, so race_win_count itself always takes
+the numpy kernel here: the pure kernel's helpers are called directly,
+or race_win_count in a fresh interpreter."""
+
+import json
 import subprocess
 import sys
 import threading
@@ -19,13 +25,18 @@ from qsafe import jit_attack_sim
 from qsafe.jit_attack_sim import (
     _CHUNK_TRIALS,
     _MIN_STEP_TRIALS,
+    _PURE_TRIALS,
     AttackScenario,
     FixedInterval,
     Memoryless,
     QuantumAttacker,
+    _packed_below,
     _philox,
+    _philox_key,
     _seek,
+    _win_edge,
     _workers,
+    break_duration,
     race_win_count,
 )
 
@@ -127,6 +138,124 @@ def test_win_counts_are_pinned_across_chunk_boundaries(mining, seed, stream, win
     assert reference_wins(mining, seed, stream, 70_000, 200_001) == wins
     scenario = AttackScenario(BASELINE, mining)
     assert race_win_count(scenario, seed, 70_000, 200_001, stream=stream) == wins
+    # the pure kernel, on the same range of at most _PURE_TRIALS trials
+    assert 200_001 - 70_000 <= _PURE_TRIALS
+    edge, below = _win_edge(mining, break_duration(BASELINE))
+    count = _packed_below(_philox_key(seed, stream), 70_000, 200_001, edge << 11)
+    assert (count if below else 200_001 - 70_000 - count) == wins
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.one_of(st.integers(0, 2**128 - 1), st.sampled_from([0, 2**32 - 1, 2**32, 2**128 - 1])),
+    stream=st.one_of(st.integers(0, 2**64), st.sampled_from([0, 1, 2**32, 2**64 - 1])),
+)
+def test_philox_key_is_numpys_seed_sequence(seed, stream):
+    assert _philox_key(seed, stream) == tuple(int(word) for word in stream_key(seed, stream))
+
+
+@pytest.mark.parametrize("seed, stream", [(-1, 0), (0, -1)])
+def test_philox_key_refuses_negative_values_as_numpy_does(seed, stream):
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        stream_key(seed, stream)
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        _philox_key(seed, stream)
+
+
+def reference_below(seed, stream, start, length, word_edge):
+    """Words [start, start + length) of the stream below word_edge, drawn
+    by numpy's Philox from numpy's own key, for an edge in [0, 2**64]."""
+    bitgen = np.random.Philox(key=stream_key(seed, stream))
+    bitgen.advance(start // 4)  # numpy's advance wraps at 2**256 blocks
+    words = bitgen.random_raw(start % 4 + length)[start % 4 :]
+    if word_edge == 2**64:
+        return length
+    return int(np.count_nonzero(words < np.uint64(word_edge)))
+
+
+# Word starts just before the low counter word wraps (block 2**64 - 1
+# has counter 2**64) and just before the 256-bit counter wraps (block
+# 2**256 - 1 has counter 0), where a piece must carry or end.
+WRAPS = st.sampled_from([4 * 2**64, 4 * 2**128, 4 * 2**256]).flatmap(
+    lambda wrap: st.integers(wrap - 4 * 2**12, wrap + 4 * 2**12)
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2**128 - 1),
+    stream=st.integers(0, 3),
+    start=st.one_of(st.integers(0, 2**20), st.integers(0, 2**258), WRAPS),
+    length=st.one_of(
+        st.integers(0, 64),
+        st.integers(0, 2**17),
+        st.sampled_from([2**11 - 1, 2**11, 2**11 + 1, 2**17]),
+    ),
+    word_edge=st.one_of(st.integers(0, 2**64), st.sampled_from([0, 1, 2**63, 2**64 - 1, 2**64])),
+)
+@example(seed=42, stream=0, start=0, length=0, word_edge=2**63)
+@example(seed=42, stream=0, start=4 * 2**64 - 4 * 600 - 3, length=2**17, word_edge=2**63)
+@example(seed=42, stream=1, start=4 * 2**256 - 4 * 600 - 1, length=2**17, word_edge=2**63)
+@example(seed=2**128 - 1, stream=3, start=2**258, length=7, word_edge=2**64)
+def test_packed_kernel_counts_what_numpy_draws(seed, stream, start, length, word_edge):
+    count = _packed_below(_philox_key(seed, stream), start, start + length, word_edge)
+    assert count == reference_below(seed, stream, start, length, word_edge)
+
+
+def test_packed_kernel_memory_is_bounded():
+    # The same bound as the numpy kernel's: the pure kernel holds a few
+    # ints of _PACKED_BLOCKS lanes, not one per trial.
+    key = _philox_key(1, 0)
+    _packed_below(key, 0, 8, 2**63)
+    tracemalloc.start()
+    try:
+        _packed_below(key, 0, _PURE_TRIALS, 2**63)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+# race_win_count over the rows given as JSON, in a fresh interpreter that
+# never loads numpy, so every range of at most _PURE_TRIALS trials is
+# counted by the pure kernel.
+PURE_PROBE = """
+import json, sys
+from qsafe import jit_attack_sim
+counts = [
+    jit_attack_sim.race_win_count(
+        jit_attack_sim.AttackScenario(
+            jit_attack_sim.QuantumAttacker(256, clock), getattr(jit_attack_sim, mining)()
+        ),
+        seed, start, stop, stream=stream,
+    )
+    for clock, mining, seed, stream, start, stop in json.loads(sys.argv[1])
+]
+assert "numpy" not in sys.modules
+print(json.dumps(counts))
+"""
+PURE_ROWS = [
+    (1000.0, "Memoryless", 42, 0, 0, 100_000),
+    (1000.0, "FixedInterval", 42, 0, 0, _PURE_TRIALS),
+    (300.0, "Memoryless", 2**128 - 7, 3, 70_000, 200_001),
+    (5000.0, "FixedInterval", 9, 1, 3, 4),
+    (700.0, "Memoryless", 5, 2, 2**70 + 1, 2**70 + 9_999),
+]
+
+
+def test_both_kernels_count_alike():
+    result = subprocess.run(
+        [sys.executable, "-c", PURE_PROBE, json.dumps(PURE_ROWS)],
+        capture_output=True, text=True, check=True,
+    )
+    expected = [
+        race_win_count(
+            AttackScenario(QuantumAttacker(256, clock), getattr(jit_attack_sim, mining)()),
+            seed, start, stop, stream=stream,
+        )
+        for clock, mining, seed, stream, start, stop in PURE_ROWS
+    ]
+    assert json.loads(result.stdout) == expected
 
 
 CUTS = st.one_of(
