@@ -68,12 +68,13 @@ def round_half_up(value) -> str:
     return f"{sign}{whole}.{frac:02d}"
 
 
-def _cell_text(value, rounded: bool) -> str:
-    if rounded:
-        return round_half_up(value)
-    if isinstance(value, Rational) and not isinstance(value, int):
+def _cell_text(col, value, rounded: bool) -> str:
+    if not rounded and isinstance(value, Rational) and not isinstance(value, int):
         return str(float(value))
-    return str(value)
+    try:
+        return round_half_up(value) if rounded else str(value)
+    except ValueError:  # str refuses an int past Python's int-digit limit
+        raise ValueError(f"{col}: value too long to print") from None
 
 
 def _cell_json(col, value):
@@ -102,7 +103,7 @@ def render_report(rows, fmt, rounded=()) -> str:
         payload = [{col: _cell_json(col, row[col]) for col in cols} for row in rows]
         return json.dumps(payload, indent=2) + "\n"
 
-    cells = [[_cell_text(row[col], col in rounded) for col in cols] for row in rows]
+    cells = [[_cell_text(col, row[col], col in rounded) for col in cols] for row in rows]
     if fmt == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
@@ -123,11 +124,11 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # argparse reads an argument that looks like a negative number as
-        # a value, not a flag.  Its pattern knows -1 and -.5 but not -1/2,
-        # so without this a negative p/q literal would never reach the
-        # range checks.
+        # a value, not a flag.  Its pattern knows -1 and -.5 but not -1/2
+        # or -1e-3, so without this such a negative literal would never
+        # reach the range checks.
         known = self._negative_number_matcher.pattern
-        self._negative_number_matcher = re.compile(rf"{known}|^-\d+/\d+$")
+        self._negative_number_matcher = re.compile(rf"{known}|^-[\d.]+([eE][-+]?\d+|/\d+)$")
 
     # argparse exits with status 2 on bad flags; usage problems here are
     # exit 1, with 2 reserved for I/O, so route errors through ValueError.

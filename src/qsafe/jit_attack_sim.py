@@ -27,23 +27,21 @@ be counted independently and merged by summing win counts, bit-identical
 to a single serial run.
 
 ``race_win_count`` counts a range with one of two kernels, which give
-the same count.  While numpy is not loaded, a range of at most
-``_PURE_TRIALS`` trials is counted in pure Python by ``_packed_below``:
+the same count.  numpy draws the range when it is already loaded, or
+when the trials still to draw exceed ``_PURE_TRIALS`` and it can be
+imported; ``sweep`` asks that for all its rows before the first.
+Otherwise ``_packed_below`` counts it in pure Python, whatever its size:
 Philox computes each counter block from the block's index alone, so
 every block of a piece is computed at once, with each counter word's
-lanes packed 128 bits apart in one Python int.  That costs less than
-importing numpy.  Any other range is drawn by numpy in steps, with one
-worker thread per usable CPU taking the next step as soon as it is free,
-each through its own bit generator moved to that step's first word.
-Counts are the same whatever the CPU count and whichever worker draws a
-step.  At most ``_CHUNK_TRIALS`` trials are in flight across all
-workers, and at most ``_PACKED_BLOCKS`` blocks in the pure kernel, so
-memory is bounded whatever the trial count and the CPU count.
-
-numpy is imported only to draw a range the pure kernel does not take,
-or by ``sweep`` when its rows together exceed ``_PURE_SWEEP_TRIALS``
-trials, so importing qsafe, running its exact subcommands and a default
-``attack`` never load it.
+lanes packed 128 bits apart in one Python int.  numpy draws in steps,
+with one worker thread per usable CPU taking the next step as soon as
+it is free, each through its own bit generator moved to that step's
+first word.  Counts are the same whatever the CPU count and whichever
+worker draws a step.  At most ``_CHUNK_TRIALS`` trials are in flight
+across all workers, and at most ``_PACKED_BLOCKS`` blocks in the pure
+kernel, so memory is bounded whatever the trial count and the CPU count.
+Importing qsafe, its exact subcommands and a default ``attack`` never
+load numpy, and without numpy every range is counted in pure Python.
 """
 
 from __future__ import annotations
@@ -161,20 +159,12 @@ _CHUNK_TRIALS = 1 << 16
 # _CHUNK_TRIALS // _MIN_STEP_TRIALS.
 _MIN_STEP_TRIALS = 1 << 13
 
-# While numpy is not loaded, race_win_count counts a range of at most
-# this many trials in pure Python: about 11 ms and 0.3 MB for 10**5
-# trials, against some 120 ms for importing numpy.  Once numpy is
-# loaded, it draws faster at any size.
-_PURE_TRIALS = 1 << 17
-
-# sweep imports numpy before its first row when its rows draw more than
-# this many trials in all.  The pure kernel's cost grows with the trials
-# drawn, however they are split into rows, while numpy's is mostly its
-# import and first draw; in cold interpreters on a 2-vCPU shared VM the
-# two broke even at 5.8-7.1 * 10**5 trials (five rounds of 21 runs).  A
-# cold attack of 32 clock rows at the default 10**5 trials took 449 ms
-# in pure Python and 183 ms through numpy.
-_PURE_SWEEP_TRIALS = 1 << 19
+# While numpy is not loaded, up to this many trials still to draw are
+# counted in pure Python.  That kernel's cost grows with the trials
+# drawn, however they are split into rows, and numpy's is mostly its
+# import; in cold interpreters on a 2-vCPU shared VM the two broke even
+# at 5.8-7.1 * 10**5 trials (five rounds of 21 runs).
+_PURE_TRIALS = 1 << 19
 
 # _packed_below computes this many counter blocks (2**11 trials) at a
 # time, in ints of 8 KB, so it holds about 0.3 MB whatever its range.
@@ -424,17 +414,16 @@ def race_win_count(
     """Attacker wins over trials [start, stop) of the (seed, stream) stream.
 
     Disjoint chunks sum to the full-range count, so trial batches may run
-    concurrently and merge.  While numpy is not loaded, a range of at
-    most _PURE_TRIALS trials is counted in pure Python by _packed_below,
-    which costs less than importing numpy.  Any other range is drawn by
-    numpy in steps by one worker per usable CPU, the caller and a thread
-    for each other one, and each worker takes the next step as soon as
-    it is free, so a slow CPU holds up no one.  At most _CHUNK_TRIALS
-    trials are in flight at a time, so memory does not grow with
-    stop - start.  After an error in any step no worker takes another,
-    and the error is raised here once every thread has finished.  The
-    two kernels give the same count.  ValueError for a seed outside
-    [0, 2**128), even when no trial needs drawing.
+    concurrently and merge.  _packed_below counts the range in pure
+    Python unless _numpy_draws(stop - start).  numpy draws it in steps
+    by one worker per usable CPU, the caller and a thread for each other
+    one, and each worker takes the next step as soon as it is free, so a
+    slow CPU holds up no one.  At most _CHUNK_TRIALS trials are in flight
+    at a time, so memory does not grow with stop - start.  After an error
+    in any step no worker takes another, and the error is raised here
+    once every thread has finished.  The two kernels give the same count.
+    ValueError for a seed outside [0, 2**128), even when no trial needs
+    drawing.
     """
     if not 0 <= start <= stop:
         raise ValueError(f"need 0 <= start <= stop, got [{start}, {stop})")
@@ -451,11 +440,23 @@ def race_win_count(
     # A word is its trial's k followed by 11 more bits, so k < edge
     # exactly when the word is below edge << 11.
     word_edge = edge << 11
-    if stop - start <= _PURE_TRIALS and "numpy" not in sys.modules:
-        count = _packed_below(_philox_key(seed, stream), start, stop, word_edge)
-    else:
+    if _numpy_draws(stop - start):
         count = _threaded_below(word_edge, seed, stream, start, stop)
+    else:
+        count = _packed_below(_philox_key(seed, stream), start, stop, word_edge)
     return count if below else stop - start - count
+
+
+def _numpy_draws(trials: int) -> bool:
+    """Whether numpy draws trials still to draw: it is loaded, or they
+    exceed _PURE_TRIALS and it can be imported."""
+    if sys.modules.get("numpy") is None and trials <= _PURE_TRIALS:
+        return False
+    try:
+        import numpy  # noqa: F401
+    except ImportError:
+        return False
+    return True
 
 
 def _threaded_below(word_edge: int, seed: int, stream: int, start: int, stop: int) -> int:
@@ -514,9 +515,8 @@ def sweep(
 
     Row i uses substream i of the master seed, so rows are independent
     and each is reproducible from (seed, row index) alone.  Every clock
-    is validated before any trial runs.  Rows that together draw more
-    than _PURE_SWEEP_TRIALS trials import numpy first, so that no row
-    is drawn in pure Python.
+    is validated before any trial runs.  _numpy_draws is asked for all
+    the rows' trials before the first row, so that it may load numpy.
     """
     clocks = list(clock_range)
     if not clocks:
@@ -525,8 +525,7 @@ def sweep(
         scenario._replace(attacker=scenario.attacker._replace(effective_clock_hz=clock_hz))
         for clock_hz in clocks
     ]
-    if len(clocks) * n_trials > _PURE_SWEEP_TRIALS:
-        import numpy  # noqa: F401
+    _numpy_draws(len(clocks) * n_trials)
     rows = []
     for index, (clock_hz, row_scenario) in enumerate(zip(clocks, row_scenarios)):
         estimate, std_error = success_probability_monte_carlo(

@@ -195,7 +195,7 @@ def test_plan_schedule_k_rejects_bandwidth_as_not_a_unit_fraction(capsys, text):
     assert f"bandwidth: every-kth scheduling needs a unit fraction (1/k), got {text}" in err
 
 
-@pytest.mark.parametrize("text", ["-1/2", "-0.5"])
+@pytest.mark.parametrize("text", ["-1/2", "-0.5", "-5e-1", "-.5E+0"])
 @pytest.mark.parametrize(
     "flag, message",
     [
@@ -259,6 +259,24 @@ def test_a_value_too_long_to_print_is_refused_by_its_magnitude(capsys, argv, mes
     code, out, err = run_capture(capsys, ["plan", *argv])
     assert code == 1 and out == ""
     assert err == f"qsafe: error: {message}\n"
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("text", ["1e-4300", "1e-4299"])
+def test_a_cell_too_long_to_print_is_refused_by_its_column(capsys, text, fmt):
+    # k = 10**4300 passes every check, but blocks_elapsed, about 10**4 k,
+    # has more digits than str() converts, and duration_hours is past
+    # the largest JSON number.
+    began = time.perf_counter()
+    code, out, err = run_capture(
+        capsys, ["plan", "--schedule", "k", "--bandwidth", text, "--format", fmt]
+    )
+    assert time.perf_counter() - began < 1
+    assert code == 1 and out == ""
+    if fmt == "json":
+        assert err == "qsafe: error: duration_hours: value too large for a JSON number\n"
+    else:
+        assert err == "qsafe: error: blocks_elapsed: value too long to print\n"
 
 
 def test_snapshot_file_round_trip(tmp_path, capsys):
@@ -364,19 +382,17 @@ def test_attack_fixed_mining(capsys):
 
 
 def reference_estimate(mining, trials, seed=DEFAULT_SEED):
-    """p_estimate and std_error of a one-row attack at 1000 Hz, from
-    numpy's own Generator.random draw of stream 0 and the win rule: the
-    65.536 s break ends no later than the first block."""
-    import numpy as np
-
+    """p_estimate of a one-row attack at 1000 Hz, from numpy's own
+    Generator.random draw of stream 0 and the win rule: the 65.536 s
+    break ends no later than the first block."""
+    np = pytest.importorskip("numpy")
     key = np.random.SeedSequence((seed, 0)).generate_state(2, np.uint64)
     uniforms = np.random.Generator(np.random.Philox(key=key)).random(trials)
     if mining == "fixed":
         times = 600.0 - uniforms * 600.0
     else:
         times = -600.0 * np.log1p(-uniforms)
-    estimate = int(np.count_nonzero(65.536 <= times)) / trials
-    return estimate, math.sqrt(estimate * (1.0 - estimate) / trials)
+    return int(np.count_nonzero(65.536 <= times)) / trials
 
 
 ATTACK_GOLDENS = {
@@ -386,12 +402,17 @@ ATTACK_GOLDENS = {
 }
 
 
+@pytest.mark.parametrize("flags", ATTACK_GOLDENS, ids=["default", "fixed"])
+def test_attack_goldens_are_numpys_draws(flags):
+    mining, _, pinned = ATTACK_GOLDENS[flags]
+    assert reference_estimate(mining, DEFAULT_TRIALS) == pinned
+
+
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("flags", ATTACK_GOLDENS, ids=["default", "fixed"])
 def test_attack_golden(capsys, flags, fmt):
-    mining, closed_form, pinned = ATTACK_GOLDENS[flags]
-    estimate, std_error = reference_estimate(mining, DEFAULT_TRIALS)
-    assert estimate == pinned
+    mining, closed_form, estimate = ATTACK_GOLDENS[flags]
+    std_error = math.sqrt(estimate * (1.0 - estimate) / DEFAULT_TRIALS)
     code, out, err = run_capture(capsys, ["attack", *flags, "--format", fmt])
     assert code == 0 and err == ""
     cells = [mining, "256", "1000.0", "0.0", "65.536", closed_form,
@@ -421,6 +442,53 @@ def test_attack_golden(capsys, flags, fmt):
             '    "seed": 42\n'
             "  }\n]\n"
         )
+
+
+# A fresh interpreter in which numpy cannot be imported runs each argv
+# given as JSON and acceptance criterion 5's two estimates.
+BLOCKED_NUMPY_PROBE = """
+import contextlib, io, json, sys
+
+class BlockNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "numpy":
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+
+sys.meta_path.insert(0, BlockNumpy())
+from qsafe import jit_attack_sim as sim
+from qsafe.cli_report import run
+outputs = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert run(argv) == 0
+    outputs.append(out.getvalue())
+for mining in (sim.FixedInterval(), sim.Memoryless()):
+    scenario = sim.AttackScenario(sim.QuantumAttacker(256), mining)
+    outputs.append(repr(sim.success_probability_monte_carlo(scenario, 1_000_000, seed=42)))
+assert "numpy" not in sys.modules
+print(json.dumps(outputs))
+"""
+
+
+def test_attack_without_numpy_prints_what_numpy_draws(capsys):
+    pytest.importorskip("numpy")  # so that this process draws through numpy
+    argvs = [["attack", *flags, "--format", fmt] for flags in ATTACK_GOLDENS for fmt in FORMATS]
+    argvs.append(["attack", "--mining", "fixed", "--clock-hz", "1000", "--clock-hz", "1e6",
+                  "--trials", "1000000"])  # a README sample
+    result = subprocess.run(
+        [sys.executable, "-c", BLOCKED_NUMPY_PROBE, json.dumps(argvs)],
+        capture_output=True, text=True, check=True,
+    )
+    expected = []
+    for argv in argvs:
+        code, out, _ = run_capture(capsys, argv)
+        assert code == 0
+        expected.append(out)
+    for mining in (jit_attack_sim.FixedInterval(), jit_attack_sim.Memoryless()):
+        scenario = jit_attack_sim.AttackScenario(jit_attack_sim.QuantumAttacker(256), mining)
+        estimate = jit_attack_sim.success_probability_monte_carlo(scenario, 1_000_000, seed=42)
+        expected.append(repr(estimate))
+    assert json.loads(result.stdout) == expected
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
@@ -455,6 +523,7 @@ def test_attack_repeat_runs_are_identical(capsys):
 @pytest.mark.parametrize("fmt", ["csv", "json", "md"])
 @pytest.mark.parametrize("mining", ["fixed", "memoryless"])
 def test_attack_output_is_identical_at_one_and_two_workers(monkeypatch, capsys, fmt, mining):
+    pytest.importorskip("numpy")  # loaded, so that workers draw every row
     # 100_000 trials a row is enough for two workers to share each row.
     argv = ["attack", "--mining", mining, "--clock-hz", "1000", "--clock-hz", "300",
             "--seed", "5", "--format", fmt]

@@ -20,7 +20,9 @@ from hypothesis import strategies as st
 from qsafe.cli_report import build_parser, run
 
 HUGE = str(2**128)
-LITERALS = ("1e-400", "5e-324", "1e308", HUGE, "-0", "-1/2", "1/0", "nan", "inf", "abc", "")
+LITERALS = (
+    "1e-400", "5e-324", "1e308", HUGE, "-0", "-1/2", "-1e-3", "1/0", "nan", "inf", "abc", ""
+)
 # A few ordinary values, so that accepted runs are common too.
 VALUES = st.sampled_from(LITERALS) | st.sampled_from(("0", "1", "1/2", "0.3", "256"))
 # Any count of trials is legal; large ones are only slow.

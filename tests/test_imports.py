@@ -1,6 +1,6 @@
 """What ``import qsafe`` exposes, which modules each subcommand loads,
-that numpy is loaded only when a Monte Carlo draw is too large for the
-pure-Python kernel, and that no subcommand at its defaults loads
+that numpy is loaded only when an ``attack`` draws more than
+``_PURE_TRIALS`` trials, and that no subcommand at its defaults loads
 ``dataclasses`` or ``inspect``.
 
 Each load check runs in a fresh interpreter, because this test process
@@ -92,9 +92,13 @@ def clock_rows(n):
     return [arg for hz in range(1000, 1000 * (n + 1), 1000) for arg in ("--clock-hz", str(hz))]
 
 
-# 5 rows of 10**5 trials stay within _PURE_SWEEP_TRIALS in all.
-COLD_ATTACKS = [["attack"], ["attack", "--trials", "10"], ["attack", *clock_rows(5)]]
-COLD_ATTACK_IDS = ["attack", "attack-10", "attack-5-rows"]
+# One row of 4 * 10**5 trials, and 5 rows of 10**5, stay within
+# _PURE_TRIALS in all.
+COLD_ATTACKS = [
+    ["attack"], ["attack", "--trials", "10"], ["attack", "--trials", "400000"],
+    ["attack", *clock_rows(5)],
+]
+COLD_ATTACK_IDS = ["attack", "attack-10", "attack-400000", "attack-5-rows"]
 
 
 @pytest.mark.parametrize(
@@ -116,12 +120,13 @@ def test_attack_loads_only_the_race_model_and_no_numpy(argv):
 
 @pytest.mark.parametrize(
     "argv",
-    # one row of more trials than the pure kernel takes, and 6 rows of
-    # 10**5 that draw more than _PURE_SWEEP_TRIALS together
+    # one row of more than _PURE_TRIALS trials, and 6 rows of 10**5 that
+    # draw more than that together
     [["attack", "--trials", "1000000"], ["attack", *clock_rows(6)]],
     ids=["one-large-row", "six-rows"],
 )
 def test_attack_loads_numpy_when_its_draws_exceed_the_pure_kernel(argv):
+    pytest.importorskip("numpy")
     assert loaded_after(argv) == {"numpy": True, "qsafe": ATTACK}
 
 

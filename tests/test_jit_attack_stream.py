@@ -30,6 +30,7 @@ from qsafe.jit_attack_sim import (
     FixedInterval,
     Memoryless,
     QuantumAttacker,
+    _numpy_draws,
     _packed_below,
     _philox,
     _philox_key,
@@ -256,6 +257,13 @@ def test_both_kernels_count_alike():
         for clock, mining, seed, stream, start, stop in PURE_ROWS
     ]
     assert json.loads(result.stdout) == expected
+
+
+def test_numpy_draws_once_loaded_and_never_when_it_cannot_be_imported(monkeypatch):
+    assert _numpy_draws(0) and _numpy_draws(_PURE_TRIALS + 1)  # loaded in this process
+    # A None entry makes "import numpy" raise ImportError.
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    assert not _numpy_draws(_PURE_TRIALS) and not _numpy_draws(2**40)
 
 
 CUTS = st.one_of(
