@@ -19,8 +19,8 @@ k * 2**-53, so the trials' uniforms are the doubles numpy's
 ``Generator.random`` draws from the same bit generator, in order.  The
 first-block time is monotone in that uniform, so the trials a row's
 attacker wins are exactly those with k on one side of an integer edge K,
-which ``_win_edge`` finds once per row by bisecting the float rule over
-k, with Python floats and the C library's ``log1p``.  A trial is then
+which ``_win_edge`` computes once per row from the closed form in exact
+arithmetic, against the break time the row prints.  A trial is then
 decided by one integer compare of its raw word, and a row where every
 trial decides alike draws nothing.  Any contiguous range of trials can
 be counted independently and merged by summing win counts, bit-identical
@@ -51,6 +51,8 @@ import operator
 import os
 import sys
 import threading
+from decimal import Context
+from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from . import _Record
@@ -61,11 +63,9 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-def _check_block_time(name: str, value: float) -> None:
-    # A subnormal time has too few bits for first-block times to sample
-    # the closed form.
-    if not (math.isfinite(value) and value >= sys.float_info.min):
-        raise ValueError(f"{name} must be finite and at least {sys.float_info.min}, got {value}")
+def _check_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 class QuantumAttacker(_Record):
@@ -81,11 +81,7 @@ class QuantumAttacker(_Record):
         object.__setattr__(self, "key_bits", operator.index(self.key_bits))
         if self.key_bits < 0:
             raise ValueError(f"key_bits must be >= 0, got {self.key_bits}")
-        if not (math.isfinite(self.effective_clock_hz) and self.effective_clock_hz > 0):
-            raise ValueError(
-                "effective_clock_hz must be finite and positive, "
-                f"got {self.effective_clock_hz}"
-            )
+        _check_positive("effective_clock_hz", self.effective_clock_hz)
         if not (math.isfinite(self.overhead_seconds) and self.overhead_seconds >= 0):
             raise ValueError(
                 f"overhead_seconds must be finite and >= 0, got {self.overhead_seconds}"
@@ -108,7 +104,7 @@ class FixedInterval(_Record):
     blocktime_seconds: float = 600.0
 
     def _check(self) -> None:
-        _check_block_time("blocktime_seconds", self.blocktime_seconds)
+        _check_positive("blocktime_seconds", self.blocktime_seconds)
 
 
 class Memoryless(_Record):
@@ -117,7 +113,7 @@ class Memoryless(_Record):
     mean_blocktime_seconds: float = 600.0
 
     def _check(self) -> None:
-        _check_block_time("mean_blocktime_seconds", self.mean_blocktime_seconds)
+        _check_positive("mean_blocktime_seconds", self.mean_blocktime_seconds)
 
 
 MiningModel = FixedInterval | Memoryless
@@ -325,38 +321,41 @@ def _seek(bitgen: np.random.Philox, position: int, word: int) -> None:
         bitgen.random_raw(skip)
 
 
-def _first_block_time(mining: MiningModel, uniform: float) -> float:
-    """First-block time of a trial with the given uniform in [0, 1)."""
-    if isinstance(mining, FixedInterval):
-        b = mining.blocktime_seconds
-        return b - uniform * b  # uniform broadcast offset in [0, B)
-    # inverse CDF; exactly one draw per trial.  A mean near the float
-    # maximum overflows to inf for uniforms near 1, which the win rule
-    # still orders correctly.
-    return -mining.mean_blocktime_seconds * math.log1p(-uniform)
-
-
 def _win_edge(mining: MiningModel, t_break: float) -> tuple[int, bool]:
     """The edge K and side below of the trials the attacker wins.
 
     The attacker, outbidding on fees, wins when the break ends no later
-    than the first block: t_break <= first block time.  That time is
-    monotone in the trial's k, so trial k wins exactly when
-    (k < K) == below.  K is 2**53 when every trial decides alike.
+    than the first block, which trial k's uniform u = k * 2**-53 puts at
+    B * (1 - u) for FixedInterval(B) and -M * ln(1 - u) for Memoryless(M).
+    So trial k wins exactly when (k < K) == below, with K from the closed
+    form in exact arithmetic: floor(2**53 * (1 - T/B)) + 1 with below,
+    or 2**53 - floor(2**53 * e**(-T/M)) without, for the break time T
+    taken exactly.  K is 2**53 when every trial decides alike.
     """
-
-    def wins(k: int) -> bool:
-        return t_break <= _first_block_time(mining, k * 2.0**-53)
-
-    below = wins(0)
-    lo, hi = 0, 1 << 53  # wins(lo) == below, and K <= hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if wins(mid) == below:
-            lo = mid
-        else:
-            hi = mid
-    return hi, below
+    t_break = Fraction(t_break)
+    if isinstance(mining, FixedInterval):
+        share = 1 - t_break / Fraction(mining.blocktime_seconds)
+        if share < 0:
+            return 1 << 53, False
+        return min(math.floor(share * 2**53) + 1, 1 << 53), True
+    if t_break == 0:
+        return 1 << 53, True
+    x = t_break / Fraction(mining.mean_blocktime_seconds)
+    if x >= 37:  # 2**53 * e**-37 < 1: no trial wins
+        return 1 << 53, False
+    digits = 40
+    while True:
+        # The quotient and exp are each within half a unit in their last
+        # digit, and x < 37 magnifies the quotient's error in exp, so the
+        # scaled value is within a relative 10**(3 - digits) of
+        # 2**53 * e**-x.  That is irrational, so the loop ends.
+        context = Context(prec=digits)
+        scaled = Fraction(context.divide(-x.numerator, x.denominator).exp(context)) * 2**53
+        slack = scaled / 10 ** (digits - 3)
+        low = math.floor(scaled - slack)
+        if low == math.floor(scaled + slack):
+            return (1 << 53) - low, False
+        digits *= 2
 
 
 def _usable_cpus() -> int:

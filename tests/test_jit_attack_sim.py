@@ -1,7 +1,8 @@
 import math
 import warnings
+from decimal import Context
+from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -11,7 +12,6 @@ from qsafe.jit_attack_sim import (
     FixedInterval,
     Memoryless,
     QuantumAttacker,
-    _first_block_time,
     _philox,
     _win_edge,
     break_duration,
@@ -111,27 +111,21 @@ def test_closed_form_is_monotone_in_clock():
     assert values == sorted(values)
 
 
-def first_words(seed, n):
-    """Words of trials 0..n-1 of the seed's stream 0, drawn the way
-    race_win_count draws them."""
-    return _philox(seed, 0).random_raw(n)
-
-
-def first_block_times(mining, seed, n):
-    """First-block times of trials 0..n-1 of the seed's stream 0."""
-    words = first_words(seed, n).tolist()
-    return np.array([_first_block_time(mining, (word >> 11) * 2.0**-53) for word in words])
-
-
-def test_first_block_times_are_deterministic():
-    for mining in (FixedInterval(), Memoryless()):
-        once = first_block_times(mining, 5, 50)
-        assert once.tobytes() == first_block_times(mining, 5, 50).tobytes()
-
-
-def test_first_block_times_depend_on_seed():
-    times = {float(first_block_times(Memoryless(), s, 1)[0]) for s in range(8)}
-    assert len(times) == 8
+def exact_wins(mining, t_break, k):
+    """Whether trial k wins, decided in exact arithmetic: the break ends
+    no later than the first block, B * (1 - u) or -M * ln(1 - u) for the
+    trial's uniform u = k * 2**-53."""
+    t_break = Fraction(t_break)
+    rest = Fraction(2**53 - k, 2**53)  # 1 - u: at most 53 decimal digits
+    if isinstance(mining, FixedInterval):
+        return t_break <= Fraction(mining.blocktime_seconds) * rest
+    context = Context(prec=150)
+    log = -Fraction(context.divide(rest.numerator, rest.denominator).ln(context))
+    x = t_break / Fraction(mining.mean_blocktime_seconds)
+    # -ln(1 - u) is within a relative 10**-149 of log; the test's inputs
+    # never fall that close to it.
+    assert x == log or abs(x - log) > log * Fraction(1, 10**140)
+    return x <= log
 
 
 def test_exact_tie_goes_to_the_attacker():
@@ -144,19 +138,13 @@ def test_exact_tie_goes_to_the_attacker():
 
 
 def test_winner_follows_tie_rule():
+    pytest.importorskip("numpy")
     t_break = break_duration(BASELINE)
+    ks = (_philox(3, 0).random_raw(40) >> 11).tolist()
     for mining in (FixedInterval(), Memoryless()):
         edge, below = _win_edge(mining, t_break)
-        times = first_block_times(mining, 3, 40)
-        on_edge_side = [(k < edge) == below for k in (first_words(3, 40) >> 11).tolist()]
-        assert on_edge_side == [t_break <= b for b in times]
-
-
-def test_first_block_time_ranges():
-    for seed in range(50):
-        fixed = first_block_times(FixedInterval(), seed, 20)
-        assert ((0.0 < fixed) & (fixed <= 600.0)).all()
-        assert (first_block_times(Memoryless(), seed, 20) >= 0.0).all()
+        on_edge_side = [(k < edge) == below for k in ks]
+        assert on_edge_side == [exact_wins(mining, t_break, k) for k in ks]
 
 
 def test_chunked_counts_merge_exactly():
@@ -195,6 +183,7 @@ def test_win_count_refuses_seeds_outside_128_bits(seed, attacker):
 
 
 def test_streams_are_independent():
+    pytest.importorskip("numpy")
     # Win counts of two streams can agree by chance (4472 of 5000 trials
     # each at seed 3), so compare their words, trial by trial.
     assert (_philox(3, 0).random_raw(5000) != _philox(3, 1).random_raw(5000)).all()
@@ -260,14 +249,28 @@ def test_sweep_propagates_invalid_clock():
         sweep(scenario, [1000.0, 0.0], n_trials=10, seed=1)
 
 
-# A subnormal block time has too few bits to sample the closed form: at
-# 5e-324 s with a break as long, half the trials would win, not none.
-@pytest.mark.parametrize("bad", [0.0, -600.0, math.nan, math.inf, -math.inf, 5e-324, 1e-310])
+@pytest.mark.parametrize("bad", [0.0, -600.0, math.nan, math.inf, -math.inf])
 def test_mining_models_reject_blocktime_not_finite_and_positive(bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="blocktime_seconds must be finite and positive"):
         FixedInterval(bad)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="blocktime_seconds must be finite and positive"):
         Memoryless(bad)
+
+
+@pytest.mark.parametrize("tiny", [5e-324, 1e-310])
+def test_mining_models_accept_subnormal_block_times(tiny):
+    assert FixedInterval(tiny).blocktime_seconds == tiny
+    assert Memoryless(tiny).mean_blocktime_seconds == tiny
+
+
+def test_a_subnormal_block_time_samples_its_closed_form():
+    # A break as long as a 5e-324 s block: only trial 0 beats a fixed
+    # block, and a memoryless one comes later with probability e**-1.
+    attacker = QuantumAttacker(0, overhead_seconds=5e-324)
+    assert _win_edge(FixedInterval(5e-324), break_duration(attacker)) == (1, True)
+    edge, below = _win_edge(Memoryless(5e-324), break_duration(attacker))
+    assert not below
+    assert abs((2**53 - edge) / 2**53 - math.exp(-1)) <= 2**-53
 
 
 @pytest.mark.parametrize("bad", [0.0, -5.0, math.nan, math.inf])
@@ -308,8 +311,7 @@ def test_closed_form_is_a_probability_for_every_accepted_input(
             QuantumAttacker(key_bits, effective_clock_hz=clock_hz, overhead_seconds=overhead)
         return
     attacker = QuantumAttacker(key_bits, effective_clock_hz=clock_hz, overhead_seconds=overhead)
-    mining = accepted_or_none(Memoryless if memoryless else FixedInterval, blocktime)
-    assume(mining is not None)  # a subnormal block time is refused
+    mining = Memoryless(blocktime) if memoryless else FixedInterval(blocktime)
     assert 0.0 <= success_probability_closed_form(AttackScenario(attacker, mining)) <= 1.0
 
 
@@ -346,52 +348,67 @@ def test_every_probability_is_in_the_unit_interval(
     assert math.isfinite(std_error) and std_error >= 0.0
 
 
-def pipeline_wins(mining, t_break, ks):
-    """The float rule, written out: k * 2**-53, first-block time with the
-    C library's log1p, then the outbid compare."""
-
-    def first_block(u):
-        if isinstance(mining, FixedInterval):
-            return mining.blocktime_seconds - u * mining.blocktime_seconds
-        return -mining.mean_blocktime_seconds * math.log1p(-u)
-
-    return [t_break <= first_block(k * 2.0**-53) for k in ks]
-
-
-# numpy's AVX-512 log1p and the C library's disagree at the edge of
-# Memoryless(36996.14669964138) against a 67174.67735184253 s break:
-# numpy's SIMD build put K at 7541542762941435, the C library's at ...436.
+# numpy's AVX-512 log1p and the C library's disagreed at the edge of
+# Memoryless(36996.14669964138) against a 67174.67735184253 s break when
+# the edge was bisected over a float rule: numpy's SIMD build put K at
+# 7541542762941435, the C library's at ...436, the exact edge.
 AVX512_MINING = Memoryless(36996.14669964138)
 AVX512_BREAK = 67174.67735184253
 
+EDGE_SCENARIOS = {
+    "key_bits": st.integers(0, 512),
+    "clock_hz": st.floats(1.0, 1e9),
+    "overhead_blocks": st.floats(0.0, 2.0),
+    "blocktime": st.floats(1.0, 1e5),
+    "memoryless": st.booleans(),
+}
+
+
+def edge_scenario(key_bits, clock_hz, overhead_blocks, blocktime, memoryless):
+    attacker = QuantumAttacker(
+        key_bits, effective_clock_hz=clock_hz, overhead_seconds=overhead_blocks * blocktime
+    )
+    mining = Memoryless(blocktime) if memoryless else FixedInterval(blocktime)
+    return AttackScenario(attacker, mining)
+
 
 @settings(max_examples=300, deadline=None)
-@given(
-    key_bits=st.integers(0, 512),
-    clock_hz=st.floats(1.0, 1e9),
-    overhead_blocks=st.floats(0.0, 2.0),
-    blocktime=st.floats(1.0, 1e5),
-    memoryless=st.booleans(),
-    ks=st.lists(st.integers(0, 2**53 - 1), min_size=8, max_size=64),
-)
+@given(**EDGE_SCENARIOS, ks=st.lists(st.integers(0, 2**53 - 1), min_size=8, max_size=64))
 @example(key_bits=256, clock_hz=1000.0, overhead_blocks=0.0, blocktime=600.0,
          memoryless=True, ks=[0] * 8)
 @example(key_bits=0, clock_hz=1.0, overhead_blocks=1.0, blocktime=600.0,
          memoryless=False, ks=[0] * 8)
 @example(key_bits=0, clock_hz=1.0, overhead_blocks=AVX512_BREAK / AVX512_MINING.mean_blocktime_seconds,
          blocktime=AVX512_MINING.mean_blocktime_seconds, memoryless=True, ks=[0] * 8)
-def test_win_edge_agrees_with_the_float_rule(
+def test_win_edge_is_the_exact_rule(
     key_bits, clock_hz, overhead_blocks, blocktime, memoryless, ks
 ):
-    attacker = QuantumAttacker(
-        key_bits, effective_clock_hz=clock_hz, overhead_seconds=overhead_blocks * blocktime
-    )
-    mining = Memoryless(blocktime) if memoryless else FixedInterval(blocktime)
-    t_break = break_duration(attacker)
-    edge, below = _win_edge(mining, t_break)
+    scenario = edge_scenario(key_bits, clock_hz, overhead_blocks, blocktime, memoryless)
+    t_break = break_duration(scenario.attacker)
+    edge, below = _win_edge(scenario.mining, t_break)
     assert 1 <= edge <= 2**53
     ks = [k for k in range(edge - 2, edge + 3) if 0 <= k < 2**53] + ks
-    assert pipeline_wins(mining, t_break, ks) == [(k < edge) == below for k in ks]
+    assert [exact_wins(scenario.mining, t_break, k) for k in ks] == [
+        (k < edge) == below for k in ks
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(**EDGE_SCENARIOS, n_trials=st.integers(1, 5000), seed=st.integers(0, 2**128 - 1))
+def test_estimate_is_within_a_bernstein_bound_of_the_sampled_probability(
+    key_bits, clock_hz, overhead_blocks, blocktime, memoryless, n_trials, seed
+):
+    # Over its trials' k, a row wins with probability exactly K / 2**53,
+    # or 1 - K / 2**53.  Bernstein's inequality for n such trials puts the
+    # estimate within t of it, but for a chance of 10**-12.
+    scenario = edge_scenario(key_bits, clock_hz, overhead_blocks, blocktime, memoryless)
+    edge, below = _win_edge(scenario.mining, break_duration(scenario.attacker))
+    sampled = (edge if below else 2**53 - edge) / 2**53
+    estimate, _ = success_probability_monte_carlo(scenario, n_trials, seed)
+    log_term = math.log(2 / 1e-12)
+    variance = sampled * (1 - sampled)
+    t = (log_term / 3 + math.sqrt(log_term**2 / 9 + 2 * n_trials * log_term * variance)) / n_trials
+    assert abs(estimate - sampled) <= t
 
 
 @settings(max_examples=500, deadline=None)
@@ -419,31 +436,36 @@ def test_win_edge_gives_the_closed_form(key_bits, clock_hz, overhead, blocktime,
 @pytest.mark.parametrize(
     "mining, t_break, expected",
     [
-        # In exact arithmetic u <= 5/6 wins, k <= 7505999378950826.67.
-        # At k = ...827, u * 600 is 500 + 200 * 2**-53, under half an ulp
-        # of 500 (2**-44), so it rounds to 500 and the trial wins.  At
-        # ...828 it is 500 + 800 * 2**-53, which rounds to 500 + 2**-43,
-        # and 600 minus that is below 100.  (600 * (1 - u) gives ...827.)
-        (FixedInterval(600.0), 100.0, (7505999378950828, True)),
-        # The C library's log1p; numpy's AVX-512 build gave ...435.
+        # u <= 5/6 wins, k <= 7505999378950826.67.  (The float rule
+        # 600 - u * 600 rounded k = ...827 to a win and gave ...828.)
+        (FixedInterval(600.0), 100.0, (7505999378950827, True)),
+        # numpy's AVX-512 log1p gave ...435 under the float rule.
         (AVX512_MINING, AVX512_BREAK, (7541542762941436, False)),
+        # A break longer than the interval loses every trial.
+        (FixedInterval(600.0), 600.5, (2**53, False)),
+        # 2**53 * e**-36.7 is 1.04: only the last trial wins.
+        (Memoryless(1.0), 36.7, (2**53 - 1, False)),
+        # 2**53 * e**-37 is 0.77: none does.
+        (Memoryless(1.0), 37.0, (2**53, False)),
     ],
-    ids=["fixed-by-hand", "memoryless-avx512"],
+    ids=["fixed-by-hand", "memoryless-avx512", "fixed-none", "memoryless-one", "memoryless-none"],
 )
 def test_win_edge_is_pinned(mining, t_break, expected):
     assert _win_edge(mining, t_break) == expected
+    edge, below = expected
+    for k in (edge - 1, edge):
+        if k < 2**53:
+            assert exact_wins(mining, t_break, k) == ((k < edge) == below)
 
 
 def test_win_edge_of_a_huge_mean_does_not_warn():
-    # The bisection reaches k where -mean * log1p(-u) overflows to inf;
-    # the rule orders inf correctly, so the edge is the float rule's.
+    # A first block near the float maximum, 1.7 means away.
     mining = Memoryless(1e308)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        edge, below = _win_edge(mining, 1.7e308)
-        assert not below
-        assert not 1.7e308 <= _first_block_time(mining, (edge - 1) * 2.0**-53)
-        assert 1.7e308 <= _first_block_time(mining, edge * 2.0**-53)
+        assert _win_edge(mining, 1.7e308) == (7361732353039743, False)
+    assert not exact_wins(mining, 1.7e308, 7361732353039742)
+    assert exact_wins(mining, 1.7e308, 7361732353039743)
 
 
 def test_certain_rows_draw_nothing(monkeypatch):
@@ -451,6 +473,7 @@ def test_certain_rows_draw_nothing(monkeypatch):
         raise AssertionError("a certain row drew trials")
 
     monkeypatch.setattr("qsafe.jit_attack_sim._philox", no_draws)
+    monkeypatch.setattr("qsafe.jit_attack_sim._packed_below", no_draws)
     hopeless = AttackScenario(
         QuantumAttacker(key_bits=256, effective_clock_hz=100.0), FixedInterval()
     )
