@@ -22,9 +22,9 @@ Exit codes: 0 success, 1 bad usage or bad values, 2 I/O failure.
 from __future__ import annotations
 
 import argparse
-import csv
+import gc
 import io
-import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -100,11 +100,15 @@ def render_report(rows, fmt, rounded=()) -> str:
     cols = list(rows[0])
 
     if fmt == "json":
+        import json
+
         payload = [{col: _cell_json(col, row[col]) for col in cols} for row in rows]
         return json.dumps(payload, indent=2) + "\n"
 
     cells = [[_cell_text(col, row[col], col in rounded) for col in cols] for row in rows]
     if fmt == "csv":
+        import csv
+
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(cols)
@@ -188,6 +192,8 @@ def load_snapshot(path: str | None) -> UtxoSnapshot:
 
     if path is None:
         return DEFAULT_SNAPSHOT
+    import json
+
     with open(path, encoding="utf-8") as handle:
         # Bad UTF-8, bad JSON, too many digits and too large an exponent
         # raise ValueError; deep nesting, RecursionError.
@@ -464,17 +470,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv=None) -> int:
     parser = build_parser()
+    # stdout is flushed inside this try, so that a closed stdout is
+    # reported as a failed --out is.
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # --help
-        return int(exc.code or 0)
-    except ValueError as exc:
-        print(f"qsafe: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:  # --help
+            sys.stdout.flush()
+            return int(exc.code or 0)
         rows, rounded = args.handler(args)
         text = render_report(rows, args.format, rounded)
-        if args.out is not None:
+        if args.out is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
             # newline="" keeps the file's bytes equal to stdout's on
             # every platform.
             with open(args.out, "w", encoding="utf-8", newline="") as handle:
@@ -485,13 +494,25 @@ def run(argv=None) -> int:
     except ValueError as exc:
         print(f"qsafe: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.out is None:
-        sys.stdout.write(text)
     return EXIT_OK
 
 
 def main() -> None:
-    sys.exit(run())
+    code = run()
+    try:
+        sys.stdout.flush()
+    except OSError:
+        # run() has reported it.  Point fd 1 at the null device, so that
+        # the interpreter's own flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    # At exit the interpreter collects, one by one, every cycle that the
+    # imports built (classes, functions, the argparse parser): about
+    # 4 ms of a 30 ms cold command.  Nothing left alive here needs a
+    # finaliser: --out is closed, and the standard streams are still
+    # flushed and atexit handlers still run.  run() never freezes, so
+    # callers in-process keep a normal collector.
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

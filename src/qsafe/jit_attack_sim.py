@@ -50,7 +50,6 @@ import math
 import operator
 import os
 import sys
-import threading
 from decimal import Context
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -461,6 +460,8 @@ def _numpy_draws(trials: int) -> bool:
 def _threaded_below(word_edge: int, seed: int, stream: int, start: int, stop: int) -> int:
     """Words below word_edge over [start, stop), drawn by numpy in steps
     by one worker per usable CPU, as race_win_count describes."""
+    import threading
+
     workers, step = _workers(start, stop)
     starts = iter(range(start, stop, step))
     lock = threading.Lock()

@@ -1,10 +1,13 @@
 import csv
+import gc
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import time
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -647,25 +650,73 @@ def test_help_exits_zero(capsys):
     capsys.readouterr()
 
 
-def test_module_entry_point(tmp_path):
+# A cold command exits through main(), which freezes the collector
+# first; its exit code, stdout and stderr must still be run()'s.
+COLD_EXITS = {
+    "capacity": (["capacity"], 0),
+    "help": (["--help"], 0),
+    "bandwidth-2": (["plan", "--bandwidth", "2"], 1),
+    "bandwidth-0": (["plan", "--bandwidth", "0"], 1),
+    "missing-snapshot": (["plan", "--snapshot", "{tmp}/nope"], 2),
+    "out-missing-dir": (["capacity", "--out", "{tmp}/no/dir/x.csv"], 2),
+}
+
+
+@pytest.mark.parametrize("command", COLD_EXITS)
+def test_a_cold_command_exits_as_run_does(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.setenv("COLUMNS", "80")  # the width argparse wraps --help at
+    template, code = COLD_EXITS[command]
+    argv = [arg.format(tmp=tmp_path) for arg in template]
+    cold = subprocess.run(
+        [sys.executable, "-m", "qsafe", *argv], capture_output=True, text=True
+    )
+    assert (cold.returncode, cold.stdout, cold.stderr) == run_capture(capsys, argv)
+    assert cold.returncode == code
+
+
+def test_run_leaves_the_collector_unfrozen():
+    probe = (
+        "import contextlib, gc, io\n"
+        "from qsafe.cli_report import run\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert run(['capacity']) == 0\n"
+        "print(gc.get_freeze_count())\n"
+    )
     result = subprocess.run(
-        [sys.executable, "-m", "qsafe", "capacity"],
-        capture_output=True,
-        text=True,
-        check=True,
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
     )
-    assert "ecdsa-mega,235,210,17020" in result.stdout
+    assert result.stdout == "0\n"
 
-    bad = subprocess.run(
-        [sys.executable, "-m", "qsafe", "plan", "--bandwidth", "0"],
-        capture_output=True,
-        text=True,
-    )
-    assert bad.returncode == 1
 
-    missing = subprocess.run(
-        [sys.executable, "-m", "qsafe", "plan", "--snapshot", str(tmp_path / "nope")],
-        capture_output=True,
-        text=True,
-    )
-    assert missing.returncode == 2
+def test_a_run_leaves_nothing_to_finalise(tmp_path, monkeypatch):
+    # A frozen exit finalises nothing, so a file a run leaked would go
+    # unreported; it must be closed before run() returns.
+    snapshot = tmp_path / "snapshot.json"
+    snapshot.write_text('{"total_utxos": 1000}', encoding="utf-8")
+    argv = ["plan", "--snapshot", str(snapshot), "--out", str(tmp_path / "plan.csv")]
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", lambda hook: unraisable.append(hook.exc_value))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        assert run(argv) == 0
+        gc.collect()
+    assert unraisable == []
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_a_closed_stdout_exits_2_with_one_line(unbuffered):
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the command writes
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "qsafe", "attack", "--trials", "10", "--format", "md"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 2
+    assert result.stderr.startswith("qsafe: error: ")
+    assert result.stderr.count("\n") == 1

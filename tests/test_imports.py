@@ -1,7 +1,8 @@
 """What ``import qsafe`` exposes, which modules each subcommand loads,
 that numpy is loaded only when an ``attack`` draws more than
-``_PURE_TRIALS`` trials, and that no subcommand at its defaults loads
-``dataclasses`` or ``inspect``.
+``_PURE_TRIALS`` trials, that no subcommand at its defaults loads
+``dataclasses`` or ``inspect``, and that a cold command imports ``json``,
+``csv`` and ``threading`` only when it uses them.
 
 Each load check runs in a fresh interpreter, because this test process
 has long since imported every qsafe module and numpy.
@@ -51,7 +52,13 @@ def loaded_after(argv, then="") -> dict:
 
 def imported_by_cold_command(argv) -> set:
     """Every module a cold ``python -m qsafe *argv`` imports, read from
-    the stderr lines of ``-X importtime``; no bytecode is written."""
+    the stderr lines of ``-X importtime``; no bytecode is written.
+
+    What ``site`` imports at start-up is the interpreter's, not the
+    command's, and is left out: a ``.pth`` file that imports ``certifi``
+    brings in ``threading``, for one.  A line is written when its import
+    ends, so ``site``'s own top-level line follows everything it loaded.
+    """
     result = subprocess.run(
         [sys.executable, "-X", "importtime", "-m", "qsafe", *argv],
         capture_output=True,
@@ -60,7 +67,10 @@ def imported_by_cold_command(argv) -> set:
         env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
     )
     lines = [line for line in result.stderr.splitlines() if line.startswith("import time:")]
-    return {line.rsplit("|", 1)[1].strip() for line in lines}
+    names = [line.rsplit("|", 1)[1] for line in lines]
+    if " site" in names:
+        names = names[names.index(" site") + 1:]
+    return {name.strip() for name in names}
 
 
 CAPACITY = {"cli_report", "weight_model", "block_packer"}
@@ -111,6 +121,36 @@ def test_cold_commands_load_no_dataclasses_inspect_or_numpy(argv):
     imported = imported_by_cold_command(argv)
     assert "qsafe.cli_report" in imported  # the lines were read
     assert imported & {"dataclasses", "inspect", "numpy"} == set()
+
+
+FORMAT_RUNS = {
+    "capacity": ["capacity"],
+    "plan-schedule": ["plan", "--schedule", "fraction", "--bandwidth", "1/2"],
+    "impact": ["impact"],
+    "attack": ["attack", "--trials", "10"],
+}
+FORMAT_MODULES = {"csv": {"csv"}, "json": {"json"}, "md": set()}
+
+
+@pytest.mark.parametrize("fmt", FORMAT_MODULES)
+@pytest.mark.parametrize("command", FORMAT_RUNS)
+def test_a_cold_command_imports_only_its_formats_module(command, fmt):
+    imported = imported_by_cold_command([*FORMAT_RUNS[command], "--format", fmt])
+    assert "qsafe.cli_report" in imported
+    assert imported & {"csv", "json"} == FORMAT_MODULES[fmt]
+
+
+def test_a_default_cold_attack_imports_no_threading():
+    # Only numpy's draws run in worker threads.
+    imported = imported_by_cold_command(["attack"])
+    assert "qsafe.jit_attack_sim" in imported
+    assert "threading" not in imported
+
+
+def test_a_cold_plan_imports_json_to_read_its_snapshot(tmp_path):
+    snapshot = tmp_path / "snapshot.json"
+    snapshot.write_text('{"total_utxos": 1000, "schnorr_fraction": 0.5}', encoding="utf-8")
+    assert "json" in imported_by_cold_command(["plan", "--snapshot", str(snapshot)])
 
 
 @pytest.mark.parametrize("argv", COLD_ATTACKS, ids=COLD_ATTACK_IDS)
