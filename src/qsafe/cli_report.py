@@ -146,37 +146,29 @@ class _Parser(argparse.ArgumentParser):
 _MAX_EXPONENT = 4300
 
 
-def _exponent_too_large(text: str) -> bool:
-    """Whether a decimal literal's exponent is beyond _MAX_EXPONENT."""
+def _exact_literal(text: str) -> Fraction:
+    """The exact value of a decimal or p/q literal.  ValueError for an
+    exponent beyond _MAX_EXPONENT, refused before 10**N is built, and for
+    nan, inf, 1/0 and text that is not a number."""
     match = re.search(r"[eE][-+]?([\d_]+)", text)
-    if match is None:
-        return False
-    digits = match[1].replace("_", "").lstrip("0")
-    return len(digits) > len(str(_MAX_EXPONENT)) or int(digits or 0) > _MAX_EXPONENT
-
-
-def _exponent_message(text: str) -> str:
-    return f"decimal exponent beyond {_MAX_EXPONENT} in magnitude: {text!r}"
+    if match is not None:
+        digits = match[1].replace("_", "").lstrip("0")
+        if len(digits) > len(str(_MAX_EXPONENT)) or int(digits or 0) > _MAX_EXPONENT:
+            raise ValueError(f"decimal exponent beyond {_MAX_EXPONENT} in magnitude: {text!r}")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"not a number: {text!r}") from exc
 
 
 # argparse replaces ValueError messages from type= callbacks with a
 # generic one; ArgumentTypeError text survives verbatim.
 def _parse_fraction(text: str, field: str) -> Fraction:
-    """The exact value of a decimal or p/q literal; nan, inf and 1/0 are
-    not numbers."""
-    if _exponent_too_large(text):
-        raise argparse.ArgumentTypeError(f"{field}: {_exponent_message(text)}")
+    """_exact_literal for a flag, with its errors naming the flag."""
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"{field}: not a number: {text!r}") from exc
-
-
-def _snapshot_decimal(text: str) -> Fraction:
-    """A snapshot's decimal literal, exactly."""
-    if _exponent_too_large(text):
-        raise ValueError(_exponent_message(text))
-    return Fraction(text)
+        return _exact_literal(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{field}: {exc}") from exc
 
 
 def load_snapshot(path: str | None) -> UtxoSnapshot:
@@ -198,7 +190,7 @@ def load_snapshot(path: str | None) -> UtxoSnapshot:
         # Bad UTF-8, bad JSON, too many digits and too large an exponent
         # raise ValueError; deep nesting, RecursionError.
         try:
-            payload = json.load(handle, parse_float=_snapshot_decimal)
+            payload = json.load(handle, parse_float=_exact_literal)
         except (ValueError, RecursionError) as exc:
             raise ValueError(f"snapshot {path}: invalid JSON: {exc}") from exc
     if not isinstance(payload, dict):

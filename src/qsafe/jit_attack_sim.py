@@ -33,10 +33,11 @@ imported; ``sweep`` asks that for all its rows before the first.
 Otherwise ``_packed_below`` counts it in pure Python, whatever its size:
 Philox computes each counter block from the block's index alone, so
 every block of a piece is computed at once, with each counter word's
-lanes packed 128 bits apart in one Python int.  numpy draws in steps,
-with one worker thread per usable CPU taking the next step as soon as
-it is free, each through its own bit generator moved to that step's
-first word.  Counts are the same whatever the CPU count and whichever
+lanes packed 128 bits apart in one Python int.  numpy draws in steps of
+whole counter blocks on a fixed grid, with one worker thread per usable
+CPU taking the next step as soon as it is free; a worker's bit generator
+starts at its first step's block and advances by whole blocks to each
+later one.  Counts are the same whatever the CPU count and whichever
 worker draws a step.  At most ``_CHUNK_TRIALS`` trials are in flight
 across all workers, and at most ``_PACKED_BLOCKS`` blocks in the pure
 kernel, so memory is bounded whatever the trial count and the CPU count.
@@ -57,8 +58,6 @@ from typing import TYPE_CHECKING
 from . import _Record
 
 if TYPE_CHECKING:
-    from collections.abc import Callable
-
     import numpy as np
 
 
@@ -293,31 +292,17 @@ def _packed_below(key: tuple[int, int], start: int, stop: int, word_edge: int) -
     return below
 
 
-def _philox(seed: int, stream: int, start: int = 0) -> np.random.Philox:
-    """Bit generator of the (seed, stream) stream, positioned at trial start."""
+def _philox(key: tuple[int, int], start: int) -> np.random.Philox:
+    """numpy's bit generator of the stream keyed by key, at word start.
+    numpy steps its counter before each block, so counter b mod 2**256
+    yields block b first; the words before start in it are dropped."""
     import numpy as np
 
-    bitgen = np.random.Philox(key=np.array(_philox_key(seed, stream), dtype=np.uint64))
-    _seek(bitgen, 0, start)
+    bitgen = np.random.Philox(
+        key=np.array(key, dtype=np.uint64), counter=(start // _WORDS_PER_BLOCK) % (1 << 256)
+    )
+    bitgen.random_raw(start % _WORDS_PER_BLOCK)
     return bitgen
-
-
-def _seek(bitgen: np.random.Philox, position: int, word: int) -> None:
-    """Move bitgen from word position of its stream to word >= position.
-
-    advance() moves by whole counter blocks and drops what is left of a
-    block that was only partly read, so it carries bitgen to the start
-    of word's block, and the words before word in that block are drawn
-    and dropped.
-    """
-    unread = -(-position // _WORDS_PER_BLOCK)  # first block not yet generated
-    block, skip = divmod(word, _WORDS_PER_BLOCK)
-    if block >= unread:
-        bitgen.advance(block - unread)
-    else:  # word is in the block position is partway through
-        skip = word - position
-    if skip:
-        bitgen.random_raw(skip)
 
 
 def _win_edge(mining: MiningModel, t_break: float) -> tuple[int, bool]:
@@ -368,42 +353,16 @@ def _workers(start: int, stop: int) -> tuple[int, int]:
     """Worker count and trials per step for the range [start, stop).
 
     One worker per usable CPU, but no more than the range has steps and
-    no more than keeps a step at _MIN_STEP_TRIALS.
+    no more than keeps a step at _MIN_STEP_TRIALS.  A step is whole
+    counter blocks.
     """
-    workers = min(_usable_cpus(), _CHUNK_TRIALS // _MIN_STEP_TRIALS)
-    # Each of w workers needs a step of its own: the range must hold more
-    # than w - 1 steps of _CHUNK_TRIALS // w trials.
-    while workers > 1 and stop - start <= (workers - 1) * (_CHUNK_TRIALS // workers):
-        workers -= 1
-    return workers, _CHUNK_TRIALS // workers
-
-
-def _worker_below(
-    word_edge: int, seed: int, stream: int,
-    next_step: Callable[[], int | None], stop: int, step: int,
-) -> int:
-    """Words below word_edge over the steps next_step hands this worker.
-
-    Steps come in increasing order, so one bit generator, moved past
-    the steps other workers took, serves them all.
-    """
-    import numpy as np
-
-    word_edge = np.uint64(word_edge)
-    bitgen, position, below = None, 0, 0
-    for step_start in iter(next_step, None):
-        if bitgen is None:
-            bitgen = _philox(seed, stream, step_start)
-        elif step_start != position:
-            _seek(bitgen, position, step_start)
-        count = min(step, stop - step_start)
-        # Draw and compare in one expression, so the step's words are
-        # freed before the next draw.  Kept alive, they can push the free
-        # top of the heap past malloc's trim threshold, and the pages it
-        # gives back are then faulted in again each step.
-        below += int(np.count_nonzero(bitgen.random_raw(count) < word_edge))
-        position = step_start + count
-    return below
+    for workers in range(min(_usable_cpus(), _CHUNK_TRIALS // _MIN_STEP_TRIALS), 0, -1):
+        step = _CHUNK_TRIALS // workers & -_WORDS_PER_BLOCK
+        # Each of w workers needs a step of its own: the range must hold
+        # more than w - 1 steps.
+        if stop - start > (workers - 1) * step:
+            break
+    return workers, step
 
 
 def race_win_count(
@@ -420,16 +379,21 @@ def race_win_count(
     at a time, so memory does not grow with stop - start.  After an error
     in any step no worker takes another, and the error is raised here
     once every thread has finished.  The two kernels give the same count.
-    ValueError for a seed outside [0, 2**128), even when no trial needs
-    drawing.
+    TypeError for an argument that is not a whole number, and ValueError
+    for a seed outside [0, 2**128) or a negative stream, even when no
+    trial needs drawing.
     """
+    # Whole numbers: a float raises TypeError.
+    seed, stream, start, stop = map(operator.index, (seed, stream, start, stop))
     if not 0 <= start <= stop:
         raise ValueError(f"need 0 <= start <= stop, got [{start}, {stop})")
     # Streams are defined for seeds of at most 128 bits, and a larger one
     # would alias a smaller.  Checked before the early return below, so
-    # every row refuses the same seeds.
+    # every row refuses the same seeds and streams.
     if not 0 <= seed < 1 << 128:
         raise ValueError(f"seed must be in [0, 2**128), got {seed}")
+    if stream < 0:
+        raise ValueError(f"stream must be >= 0, got {stream}")
     # Workers call private helpers only, so wrappers around the public
     # functions see one call per race_win_count, from this thread.
     edge, below = _win_edge(scenario.mining, break_duration(scenario.attacker))
@@ -438,10 +402,11 @@ def race_win_count(
     # A word is its trial's k followed by 11 more bits, so k < edge
     # exactly when the word is below edge << 11.
     word_edge = edge << 11
+    key = _philox_key(seed, stream)
     if _numpy_draws(stop - start):
-        count = _threaded_below(word_edge, seed, stream, start, stop)
+        count = _threaded_below(key, start, stop, word_edge)
     else:
-        count = _packed_below(_philox_key(seed, stream), start, stop, word_edge)
+        count = _packed_below(key, start, stop, word_edge)
     return count if below else stop - start - count
 
 
@@ -457,13 +422,22 @@ def _numpy_draws(trials: int) -> bool:
     return True
 
 
-def _threaded_below(word_edge: int, seed: int, stream: int, start: int, stop: int) -> int:
-    """Words below word_edge over [start, stop), drawn by numpy in steps
-    by one worker per usable CPU, as race_win_count describes."""
+def _threaded_below(key: tuple[int, int], start: int, stop: int, word_edge: int) -> int:
+    """Words [start, stop) of the stream keyed by key that are below
+    word_edge, drawn by numpy as race_win_count describes.
+
+    Step i is words [i * step, (i + 1) * step) clipped to the range, so
+    only the first step can start inside a block.  Steps are handed out
+    in increasing order, so a worker's bit generator, built at its first
+    step, reaches each later one by advancing whole blocks.
+    """
     import threading
 
+    import numpy as np
+
+    word_edge = np.uint64(word_edge)
     workers, step = _workers(start, stop)
-    starts = iter(range(start, stop, step))
+    starts = iter(range(start - start % step, stop, step))
     lock = threading.Lock()
     failed = False
     results: list[int | BaseException] = [0] * workers
@@ -474,8 +448,21 @@ def _threaded_below(word_edge: int, seed: int, stream: int, start: int, stop: in
 
     def draw(index: int) -> None:
         nonlocal failed
+        bitgen, position, below = None, 0, 0
         try:
-            results[index] = _worker_below(word_edge, seed, stream, next_step, stop, step)
+            for step_start in iter(next_step, None):
+                begin, end = max(step_start, start), min(step_start + step, stop)
+                if bitgen is None:
+                    bitgen = _philox(key, begin)
+                else:
+                    bitgen.advance((begin - position) // _WORDS_PER_BLOCK)
+                # Draw and compare in one expression, so the step's words
+                # are freed before the next draw.  Kept alive, they can push
+                # the free top of the heap past malloc's trim threshold, and
+                # the pages it gives back are then faulted in again each step.
+                below += int(np.count_nonzero(bitgen.random_raw(end - begin) < word_edge))
+                position = end
+            results[index] = below
         except BaseException as exc:  # raised below, once every worker is done
             failed = True
             results[index] = exc
@@ -500,6 +487,7 @@ def success_probability_monte_carlo(
     scenario: AttackScenario, n_trials: int, seed: int, *, stream: int = 0
 ) -> tuple[float, float]:
     """Estimate the attacker-win probability and its binomial standard error."""
+    n_trials = operator.index(n_trials)
     if n_trials < 1:  # named as the CLI's --trials flag
         raise ValueError(f"trials must be >= 1, got {n_trials}")
     wins = race_win_count(scenario, seed, 0, n_trials, stream=stream)

@@ -13,6 +13,7 @@ from qsafe.jit_attack_sim import (
     Memoryless,
     QuantumAttacker,
     _philox,
+    _philox_key,
     _win_edge,
     break_duration,
     race_win_count,
@@ -140,7 +141,7 @@ def test_exact_tie_goes_to_the_attacker():
 def test_winner_follows_tie_rule():
     pytest.importorskip("numpy")
     t_break = break_duration(BASELINE)
-    ks = (_philox(3, 0).random_raw(40) >> 11).tolist()
+    ks = (_philox(_philox_key(3, 0), 0).random_raw(40) >> 11).tolist()
     for mining in (FixedInterval(), Memoryless()):
         edge, below = _win_edge(mining, t_break)
         on_edge_side = [(k < edge) == below for k in ks]
@@ -182,11 +183,33 @@ def test_win_count_refuses_seeds_outside_128_bits(seed, attacker):
     assert race_win_count(scenario, seed=2**128 - 1, start=0, stop=10) in range(11)
 
 
+@pytest.mark.parametrize(
+    "attacker", [BASELINE, QuantumAttacker(key_bits=0)], ids=["drawn", "certain"]
+)
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda scenario: race_win_count(scenario, 42, 0, 5.5), TypeError),
+        (lambda scenario: race_win_count(scenario, 42, 0.0, 5), TypeError),
+        (lambda scenario: race_win_count(scenario, 42.0, 0, 5), TypeError),
+        (lambda scenario: race_win_count(scenario, 42, 0, 5, stream=1.0), TypeError),
+        (lambda scenario: race_win_count(scenario, 42, 0, 5, stream=-1), ValueError),
+        (lambda scenario: success_probability_monte_carlo(scenario, 2.5, 42), TypeError),
+    ],
+    ids=["stop", "start", "seed", "stream", "negative-stream", "trials"],
+)
+def test_every_row_refuses_the_same_arguments(attacker, call, error):
+    # An instant break wins every trial, so that row draws nothing.
+    with pytest.raises(error):
+        call(AttackScenario(attacker, FixedInterval()))
+
+
 def test_streams_are_independent():
     pytest.importorskip("numpy")
     # Win counts of two streams can agree by chance (4472 of 5000 trials
     # each at seed 3), so compare their words, trial by trial.
-    assert (_philox(3, 0).random_raw(5000) != _philox(3, 1).random_raw(5000)).all()
+    words = [_philox(_philox_key(3, stream), 0).random_raw(5000) for stream in (0, 1)]
+    assert (words[0] != words[1]).all()
 
 
 def test_monte_carlo_matches_closed_form():

@@ -34,7 +34,6 @@ from qsafe.jit_attack_sim import (
     _packed_below,
     _philox,
     _philox_key,
-    _seek,
     _win_edge,
     _workers,
     break_duration,
@@ -70,44 +69,41 @@ def next_uniforms(bitgen, count):
 def test_uniforms_match_reference_stream_bit_for_bit(seed, stream, start):
     for count in COUNTS:
         expected = reference_uniforms(seed, stream, start, count).tobytes()
-        whole = next_uniforms(_philox(seed, stream, start), count)
+        whole = next_uniforms(_philox(_philox_key(seed, stream), start), count)
         assert whole.tobytes() == expected
-        # drawn the way race_win_count draws: successive chunks of one bit generator
-        bitgen = _philox(seed, stream, start)
+        # drawn in successive chunks of one bit generator
+        bitgen = _philox(_philox_key(seed, stream), start)
         chunks = [next_uniforms(bitgen, min(CHUNK, count - at)) for at in range(0, count, CHUNK)]
         assert np.concatenate(chunks).tobytes() == expected
 
 
-# Two positions up to 40 words apart, above a block-aligned base that may
-# lie far into the stream: from either kind of start, one positioned or
-# one reached by drawing, _seek lands where one continuous draw is.
+# A word up to 40 words above a block that may lie far into the stream,
+# or just before the low counter word or the whole 256-bit counter wraps:
+# _philox lands where one continuous draw from the stream's start is.
 @settings(max_examples=200, deadline=None)
 @given(
     seed=st.integers(0, 2**128 - 1),
     stream=st.integers(0, 3),
-    base_block=st.one_of(st.just(0), st.integers(0, 2**62)),
-    ends=st.tuples(st.integers(0, 40), st.integers(0, 40)).map(sorted),
+    base_block=st.one_of(
+        st.just(0),
+        st.integers(0, 2**62),
+        st.sampled_from([2**64, 2**256]).flatmap(lambda wrap: st.integers(wrap - 12, wrap + 2)),
+    ),
+    word=st.integers(0, 40),
 )
-@example(seed=42, stream=0, base_block=0, ends=[0, 0])
-@example(seed=42, stream=0, base_block=0, ends=[1, 3])
-@example(seed=42, stream=1, base_block=0, ends=[3, 4])
-@example(seed=42, stream=1, base_block=0, ends=[5, 6])
-@example(seed=42, stream=1, base_block=0, ends=[2, 13])
-def test_positioning_at_any_word_equals_one_continuous_draw(seed, stream, base_block, ends):
-    position, word = ends
+@example(seed=42, stream=0, base_block=0, word=0)
+@example(seed=42, stream=0, base_block=0, word=3)
+@example(seed=42, stream=1, base_block=0, word=4)
+@example(seed=42, stream=1, base_block=0, word=6)
+@example(seed=42, stream=1, base_block=0, word=13)
+@example(seed=42, stream=0, base_block=2**64 - 1, word=5)
+@example(seed=42, stream=1, base_block=2**256 - 1, word=5)
+def test_positioning_at_any_word_equals_one_continuous_draw(seed, stream, base_block, word):
     bitgen = np.random.Philox(key=stream_key(seed, stream))
-    bitgen.advance(base_block)  # at base_block's first word: nothing drawn yet
+    bitgen.advance(base_block)  # at base_block's first word, mod 2**256 blocks
     continuous = bitgen.random_raw(word + 8)
-    base = base_block * 4
-    assert (_philox(seed, stream, base + word).random_raw(8) == continuous[word:]).all()
-    moved = _philox(seed, stream, base + position)
-    _seek(moved, base + position, base + word)
-    assert (moved.random_raw(8) == continuous[word:]).all()
-    # from a position reached by drawing, with part of a block still unread
-    drawn = _philox(seed, stream, base)
-    drawn.random_raw(position)
-    _seek(drawn, base + position, base + word)
-    assert (drawn.random_raw(8) == continuous[word:]).all()
+    positioned = _philox(_philox_key(seed, stream), 4 * base_block + word)
+    assert (positioned.random_raw(8) == continuous[word:]).all()
 
 
 def reference_wins(mining, seed, stream, start, stop):
@@ -241,6 +237,11 @@ PURE_ROWS = [
     (300.0, "Memoryless", 2**128 - 7, 3, 70_000, 200_001),
     (5000.0, "FixedInterval", 9, 1, 3, 4),
     (700.0, "Memoryless", 5, 2, 2**70 + 1, 2**70 + 9_999),
+    # Unaligned ranges of several steps across the low counter word's
+    # wrap, across the 256-bit counter's wrap, and beyond it.
+    (1000.0, "FixedInterval", 42, 0, 4 * 2**64 - 70_001, 4 * 2**64 + 80_002),
+    (1000.0, "Memoryless", 7, 1, 4 * 2**256 - 70_003, 4 * 2**256 + 80_001),
+    (300.0, "Memoryless", 2**128 - 7, 3, 2**258 + 2**70 + 3, 2**258 + 2**70 + 150_000),
 ]
 
 
@@ -309,7 +310,7 @@ def test_workers_fit_the_cpus_and_the_range(cpus, start, length):
     with usable_cpus(cpus):
         workers, step = _workers(start, start + length)
     assert 1 <= workers <= min(cpus, CHUNK // _MIN_STEP_TRIALS)
-    assert step == CHUNK // workers >= _MIN_STEP_TRIALS
+    assert step == CHUNK // workers & -4 >= _MIN_STEP_TRIALS  # whole blocks
     assert workers == 1 or workers <= -(-length // step)  # never more workers than steps
 
 
@@ -317,7 +318,8 @@ def with_lengths(workers):
     """(workers, range length): lengths shorter than one step, ending on a
     step boundary or on one where every worker has had as many steps, or
     crossing one by a trial, and arbitrary ones."""
-    step = CHUNK // workers
+    with usable_cpus(workers):
+        step = _workers(0, 2**40)[1]
     boundaries = [k * step + d for k in (1, 2, workers - 1, workers, 2 * workers + 1)
                   for d in (-1, 0, 1)]
     lengths = st.one_of(st.sampled_from([1, step - 1, *boundaries]), st.integers(0, 4 * CHUNK))
@@ -386,8 +388,8 @@ def test_worker_error_reaches_the_caller(monkeypatch, failing):
                 return True
         return False
 
-    def philox(seed, stream, start=0):
-        return GatedBitGen(_philox(seed, stream, start), gate, fail)
+    def philox(key, start):
+        return GatedBitGen(_philox(key, start), gate, fail)
 
     monkeypatch.setattr(jit_attack_sim, "_philox", philox)
     before = threading.active_count()
