@@ -163,12 +163,12 @@ def _exact_literal(text: str) -> Fraction:
 
 # argparse replaces ValueError messages from type= callbacks with a
 # generic one; ArgumentTypeError text survives verbatim.
-def _parse_fraction(text: str, field: str) -> Fraction:
-    """_exact_literal for a flag, with its errors naming the flag."""
+def _parse_fraction(text: str) -> Fraction:
+    """_exact_literal for a flag; argparse names the flag."""
     try:
         return _exact_literal(text)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"{field}: {exc}") from exc
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def load_snapshot(path: str | None) -> UtxoSnapshot:
@@ -406,13 +406,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_plan.add_argument("--snapshot", metavar="PATH", help="UTXO snapshot JSON file")
     p_plan.add_argument(
-        "--bandwidth", action="append", type=lambda s: _parse_fraction(s, "bandwidth"),
-        metavar="FRACTION",
+        "--bandwidth", action="append", type=_parse_fraction, metavar="FRACTION",
         help="block share in (0, 1]; repeatable (default: 1/4 1/2 3/4 1)",
     )
     p_plan.add_argument(
-        "--schnorr-fraction", type=lambda s: _parse_fraction(s, "schnorr-fraction"),
-        metavar="F",
+        "--schnorr-fraction", type=_parse_fraction, metavar="F",
         help="override the snapshot's key-aggregable share in [0, 1] (not with --schedule)",
     )
     p_plan.add_argument(

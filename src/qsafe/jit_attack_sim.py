@@ -32,15 +32,16 @@ when the trials still to draw exceed ``_PURE_TRIALS`` and it can be
 imported; ``sweep`` asks that for all its rows before the first.
 Otherwise ``_packed_below`` counts it in pure Python, whatever its size:
 Philox computes each counter block from the block's index alone, so
-every block of a piece is computed at once, with each counter word's
-lanes packed 128 bits apart in one Python int.  numpy draws in steps of
-whole counter blocks on a fixed grid, with one worker thread per usable
-CPU taking the next step as soon as it is free; a worker's bit generator
-starts at its first step's block and advances by whole blocks to each
-later one.  Counts are the same whatever the CPU count and whichever
-worker draws a step.  At most ``_CHUNK_TRIALS`` trials are in flight
-across all workers, and at most ``_PACKED_BLOCKS`` blocks in the pure
-kernel, so memory is bounded whatever the trial count and the CPU count.
+every block of a piece, one cell of a fixed grid of counters, is
+computed at once, with each counter word's lanes packed 128 bits apart
+in one Python int.  numpy draws in steps of whole counter blocks on a
+fixed grid, with one worker thread per usable CPU taking the next step
+as soon as it is free; a worker's bit generator starts at its first
+step's block and advances by whole blocks to each later one.  Counts
+are the same whatever the CPU count and whichever worker draws a step.
+At most ``_CHUNK_TRIALS`` trials are in flight across all workers, and
+at most ``_PACKED_BLOCKS`` blocks in the pure kernel, so memory is
+bounded whatever the trial count and the CPU count.
 Importing qsafe, its exact subcommands and a default ``attack`` never
 load numpy, and without numpy every range is counted in pure Python.
 """
@@ -224,28 +225,30 @@ def _packed_below(key: tuple[int, int], start: int, stop: int, word_edge: int) -
     below word_edge, for an edge in [0, 2**64].
 
     Block b is Philox of counter b + 1 mod 2**256, since numpy's Philox
-    steps its counter before each block.  The kernel computes up to
-    _PACKED_BLOCKS blocks at a time: lane j of a packed int is bits
-    [128 j, 128 j + 128), and each of the 4 counter words is one int
-    holding that word of every block, one block a lane.  A multiply then
-    gives every lane's 128-bit product in its own lane, a shift and a
-    mask split them into hi and lo words, and XOR with the round key
-    times ``ones`` (a 1 in every lane) keys them all.  A piece ends
-    where the low counter word would wrap, so the upper words are the
-    same in all its lanes.
+    steps its counter before each block.  The kernel computes the range's
+    counters in pieces on a fixed grid: a piece is ``lanes`` counters
+    from a multiple of lanes, a power of two no larger than _PACKED_BLOCKS.
+    Lane j of a packed int is bits [128 j, 128 j + 128), and each of the
+    4 counter words is one int holding that word of every block, one
+    block a lane.  A multiply then gives every lane's 128-bit product in
+    its own lane, a shift and a mask split them into hi and lo words,
+    and XOR with the round key times ``ones`` (a 1 in every lane) keys
+    them all.
 
     A word w is below the edge E exactly when bit 64 of
     (E - 1 + 2**64) - w is set.  No lane borrows from the next, so one
     subtraction, shift and mask leaves each lane's answer in its bit 0,
-    and int.bit_count counts them.  Words of the first and last block
-    outside [start, stop) are then taken back out.
+    and int.bit_count counts them.  In a piece the range cuts, the
+    lanes of each word outside [start, stop) are masked off first.
     """
     if start >= stop:
         return 0
-    first, last = start // _WORDS_PER_BLOCK, -(-stop // _WORDS_PER_BLOCK)
-    lanes = min(last - first, _PACKED_BLOCKS)
+    first, last = start // _WORDS_PER_BLOCK + 1, -(-stop // _WORDS_PER_BLOCK) + 1
+    lanes = min(_PACKED_BLOCKS, 1 << (last - first - 1).bit_length())
     ones = int.from_bytes((b"\1" + bytes(15)) * lanes, "little")
     ramp = int.from_bytes(b"".join(j.to_bytes(16, "little") for j in range(lanes)), "little")
+    low = ones * _MASK64
+    edges = (word_edge - 1 + (1 << 64)) * ones
     # Every round key, broadcast to every lane: the same in each piece.
     round_keys = []
     k0, k1 = key
@@ -255,40 +258,31 @@ def _packed_below(key: tuple[int, int], start: int, stop: int, word_edge: int) -
         k1 = (k1 + _PHILOX_W[1]) & _MASK64
     m0, m1 = _PHILOX_M
     below = 0
-    block = first
-    while block < last:
-        counter = (block + 1) % (1 << 256)
-        size = min(last - block, lanes, (1 << 64) - (counter & _MASK64))
-        if size < lanes:  # the last piece, or one ending at a wrap
-            lane_mask = (1 << 128 * size) - 1
-            piece_ones, piece_ramp = ones & lane_mask, ramp & lane_mask
-            piece_keys = [(a & lane_mask, b & lane_mask) for a, b in round_keys]
-        else:
-            piece_ones, piece_ramp, piece_keys = ones, ramp, round_keys
-        low = piece_ones * _MASK64
-        x0 = (counter & _MASK64) * piece_ones + piece_ramp
-        x1 = (counter >> 64 & _MASK64) * piece_ones
-        x2 = (counter >> 128 & _MASK64) * piece_ones
-        x3 = (counter >> 192) * piece_ones
-        for key0, key1 in piece_keys:
-            p0 = m0 * x0
-            p1 = m1 * x2
-            x0 = (p1 >> 64 & low) ^ x1 ^ key0
-            x1 = p1 & low
-            del p1
-            x2 = (p0 >> 64 & low) ^ x3 ^ key1
-            x3 = p0 & low
-            del p0
-        words = (x0, x1, x2, x3)
-        edges = (word_edge - 1 + (1 << 64)) * piece_ones
-        for word in words:
-            below += ((edges - word) >> 64 & piece_ones).bit_count()
-        if block == first:  # words before start, in lane 0
-            below -= sum(word & _MASK64 < word_edge for word in words[: start % 4])
-        block += size
-        if block == last:  # words from stop on, in the last lane
-            shift = 128 * (size - 1)
-            below -= sum(word >> shift < word_edge for word in words[(stop - 1) % 4 + 1 :])
+    # lanes is a power of two no larger than 2**64, so 2**64 and 2**256
+    # are multiples of it: no piece crosses a wrap of the low counter
+    # word or of the whole counter, and its upper words are the same in
+    # all its lanes.
+    for base in range(first - first % lanes, last, lanes):
+        counter = base % (1 << 256)
+        x0 = (counter & _MASK64) * ones + ramp
+        x1 = (counter >> 64 & _MASK64) * ones
+        x2 = (counter >> 128 & _MASK64) * ones
+        x3 = (counter >> 192) * ones
+        # x1 and x3 keep each lane's whole product; only their lo words
+        # are ever used, and the next round's mask drops the hi ones.
+        for key0, key1 in round_keys:
+            p0, p1 = m0 * x0, m1 * x2
+            x0, x1 = (p1 >> 64 ^ x1 ^ key0) & low, p1
+            x2, x3 = (p0 >> 64 ^ x3 ^ key1) & low, p0
+        for index, word in enumerate((x0, x1 & low, x2, x3 & low)):
+            flags = (edges - word) >> 64 & ones
+            # Lane j holds word w + 4 j: lanes [begin, end) are in the range.
+            w = _WORDS_PER_BLOCK * (base - 1) + index
+            begin = max(-((w - start) // _WORDS_PER_BLOCK), 0)
+            end = min(-((w - stop) // _WORDS_PER_BLOCK), lanes)
+            if begin or end < lanes:
+                flags &= (1 << 128 * end) - (1 << 128 * begin)
+            below += flags.bit_count()
     return below
 
 

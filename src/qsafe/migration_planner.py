@@ -50,7 +50,9 @@ class UtxoSnapshot(_Record):
     def _check(self) -> None:
         total, fraction = self.total, self.schnorr_fraction
         if isinstance(total, bool) or not isinstance(total, int):
-            raise ValueError(f"total must be an integer, got {total!r}")
+            raise ValueError(
+                f"total must be an integer, got {_shown(total)} ({type(total).__name__})"
+            )
         if total < 0:
             raise ValueError(f"total must be >= 0, got {total}")
         # NaN fails the range test too.

@@ -224,11 +224,9 @@ def test_a_huge_decimal_exponent_is_refused_before_it_is_built(capsys, flag, tex
     code, out, err = run_capture(capsys, ["plan", flag, text])
     assert time.perf_counter() - began < 1
     assert code == 1 and out == ""
-    field = flag.removeprefix("--")
     first, *usage = err.splitlines()
     assert first == (
-        f"qsafe: error: argument {flag}: {field}: "
-        f"decimal exponent beyond 4300 in magnitude: {text!r}"
+        f"qsafe: error: argument {flag}: decimal exponent beyond 4300 in magnitude: {text!r}"
     )
     assert not any(line.startswith("qsafe: error:") for line in usage)
 
@@ -245,6 +243,20 @@ def test_a_snapshot_decimal_with_a_huge_exponent_is_refused(tmp_path, capsys, te
         f"qsafe: error: snapshot {path}: invalid JSON: decimal exponent beyond 4300 "
         f"in magnitude: {text.replace('_', '')!r}\n"
     )
+
+
+@pytest.mark.parametrize(
+    "text, shown",
+    [("1.0", "1 (Fraction)"), ("1e3", "1000 (Fraction)"), ("1e4300", "about 1e4300 (Fraction)")],
+)
+def test_a_snapshot_total_that_is_a_decimal_is_shown_by_its_value(tmp_path, capsys, text, shown):
+    # Not Python's repr of a Fraction, nor its int-digit limit message.
+    path = tmp_path / "snap.json"
+    path.write_text(f'{{"total_utxos": {text}}}')
+    code, out, err = run_capture(capsys, ["plan", "--snapshot", str(path)])
+    assert code == 1 and out == ""
+    assert err == f"qsafe: error: snapshot {path}: total must be an integer, got {shown}\n"
+    assert "Fraction(" not in err and "set_int_max_str_digits" not in err
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 from decimal import Context
@@ -8,10 +9,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qsafe.jit_attack_sim import (
+    _PACKED_BLOCKS,
     AttackScenario,
     FixedInterval,
     Memoryless,
     QuantumAttacker,
+    _packed_below,
     _philox,
     _philox_key,
     _win_edge,
@@ -503,3 +506,91 @@ def test_certain_rows_draw_nothing(monkeypatch):
     assert race_win_count(hopeless, seed=1, start=0, stop=10**12) == 0
     instant = AttackScenario(QuantumAttacker(key_bits=0), Memoryless())
     assert race_win_count(instant, seed=1, start=5, stop=10**12) == 10**12 - 5
+
+
+MASK64 = 2**64 - 1
+
+
+def philox4x64_10(counter, key):
+    """Philox4x64-10 (Salmon et al., SC'11) of one counter block, written
+    from the specification: the counter's 4 words and the key's 2, low
+    word first, give 4 words in draw order."""
+    x0, x1, x2, x3 = counter
+    k0, k1 = key
+    for _ in range(10):
+        hi0, lo0 = divmod(0xD2E7470EE14C6C93 * x0, 2**64)
+        hi1, lo1 = divmod(0xCA5A826395121157 * x2, 2**64)
+        x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
+        k0, k1 = (k0 + 0x9E3779B97F4A7C15) & MASK64, (k1 + 0xBB67AE8584CAA73B) & MASK64
+    return x0, x1, x2, x3
+
+
+def reference_words(key, start, stop):
+    """Words [start, stop) of the stream keyed by key, one block at a
+    time: block b is Philox of counter b + 1 mod 2**256."""
+    words = []
+    for block in range(start // 4, -(-stop // 4)):
+        counter = (block + 1) % 2**256
+        words += philox4x64_10([counter >> 64 * i & MASK64 for i in range(4)], key)
+    return words[start % 4 : start % 4 + stop - start]
+
+
+# Random123's known-answer vectors for Philox4x64-10.
+@pytest.mark.parametrize(
+    "counter, key, expected",
+    [
+        ((0, 0, 0, 0), (0, 0),
+         (0x16554D9ECA36314C, 0xDB20FE9D672D0FDC, 0xD7E772CEE186176B, 0x7E68B68AEC7BA23B)),
+        ((MASK64,) * 4, (MASK64,) * 2,
+         (0x87B092C3013FE90B, 0x438C3C67BE8D0224, 0x9CC7D7C69CD777B6, 0xA09CAEBF594F0BA0)),
+        ((0x243F6A8885A308D3, 0x13198A2E03707344, 0xA4093822299F31D0, 0x082EFA98EC4E6C89),
+         (0x452821E638D01377, 0xBE5466CF34E90C6C),
+         (0xA528F45403E61D95, 0x38C72DBD566E9788, 0xA5A1610E72FD18B5, 0x57BD43B5E52B7FE6)),
+    ],
+    ids=["zeros", "ones", "pi"],
+)
+def test_scalar_philox_gives_the_known_answers(counter, key, expected):
+    assert philox4x64_10(counter, key) == expected
+
+
+# numpy's SeedSequence((seed, stream)).generate_state(2, np.uint64).
+@pytest.mark.parametrize(
+    "seed, stream, expected",
+    [
+        (42, 0, (0x9F1E2E6DCD540AB7, 0xD57873DC79FB94B6)),
+        (2**128 - 1, 3, (0x4B1760FA05D1DA5B, 0x04F3CA3A38A9BC80)),
+        (0, 2**40, (0x38276EA75EE2B443, 0xF60BD1F0DF203FA8)),
+    ],
+)
+def test_philox_key_is_pinned(seed, stream, expected):
+    assert _philox_key(seed, stream) == expected
+
+
+def test_packed_blocks_is_a_power_of_two():
+    # A piece of the pure kernel then never crosses a counter wrap.
+    assert _PACKED_BLOCKS & (_PACKED_BLOCKS - 1) == 0
+
+
+# Word 4 (c - 1) is the first of counter c; GRID's counter starts a
+# piece whenever a range spans more than half of _PACKED_BLOCKS counters.
+GRID = 4 * (3 * _PACKED_BLOCKS - 1)
+PIECE = 4 * _PACKED_BLOCKS
+PACKED_RANGES = [
+    *((40 + a, 52 + b) for a, b in itertools.product(range(4), repeat=2)),
+    *((40 + a, 41 + a) for a in range(4)),
+    *((GRID + d, GRID + d + 3 * PIECE // 2) for d in (-1, 0, 1)),
+    *((GRID + d - 3 * PIECE // 2, GRID + d) for d in (-1, 0, 1)),
+    (GRID, GRID + PIECE),
+    (4 * (2**64 - 1) - 1001, 4 * (2**64 - 1) + 1002),
+    (4 * (2**256 - 1) - 1003, 4 * (2**256 - 1) + 1001),
+]
+
+
+@pytest.mark.parametrize("start, stop", PACKED_RANGES)
+def test_packed_kernel_counts_what_the_scalar_reference_draws(start, stop):
+    key = _philox_key(2**128 - 1, 3)
+    words = reference_words(key, start, stop)
+    assert len(words) == stop - start
+    for word_edge in (0, 1, 2**63, 2**64):
+        expected = sum(word < word_edge for word in words)
+        assert _packed_below(key, start, stop, word_edge) == expected

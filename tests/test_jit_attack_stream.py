@@ -172,7 +172,8 @@ def reference_below(seed, stream, start, length, word_edge):
 
 # Word starts just before the low counter word wraps (block 2**64 - 1
 # has counter 2**64) and just before the 256-bit counter wraps (block
-# 2**256 - 1 has counter 0), where a piece must carry or end.
+# 2**256 - 1 has counter 0), where a piece of the pure kernel's grid
+# always ends.
 WRAPS = st.sampled_from([4 * 2**64, 4 * 2**128, 4 * 2**256]).flatmap(
     lambda wrap: st.integers(wrap - 4 * 2**12, wrap + 4 * 2**12)
 )
