@@ -35,7 +35,8 @@ Philox computes each counter block from the block's index alone, so
 every block of a piece, one cell of a fixed grid of counters, is
 computed at once, with each counter word's lanes packed 128 bits apart
 in one Python int.  numpy draws in steps of whole counter blocks on a
-fixed grid, with one worker thread per usable CPU taking the next step
+fixed grid: the caller alone below ``_CHUNK_TRIALS`` trials, and
+otherwise one worker thread per usable CPU, each taking the next step
 as soon as it is free; a worker's bit generator starts at its first
 step's block and advances by whole blocks to each later one.  Counts
 are the same whatever the CPU count and whichever worker draws a step.
@@ -346,17 +347,14 @@ def _usable_cpus() -> int:
 def _workers(start: int, stop: int) -> tuple[int, int]:
     """Worker count and trials per step for the range [start, stop).
 
-    One worker per usable CPU, but no more than the range has steps and
-    no more than keeps a step at _MIN_STEP_TRIALS.  A step is whole
-    counter blocks.
+    The caller alone draws a range shorter than _CHUNK_TRIALS, where a
+    thread costs more than it draws.  A longer one gets one worker per
+    usable CPU, but no more than keeps a step at _MIN_STEP_TRIALS.
     """
-    for workers in range(min(_usable_cpus(), _CHUNK_TRIALS // _MIN_STEP_TRIALS), 0, -1):
-        step = _CHUNK_TRIALS // workers & -_WORDS_PER_BLOCK
-        # Each of w workers needs a step of its own: the range must hold
-        # more than w - 1 steps.
-        if stop - start > (workers - 1) * step:
-            break
-    return workers, step
+    workers = 1
+    if stop - start >= _CHUNK_TRIALS:
+        workers = min(_usable_cpus(), _CHUNK_TRIALS // _MIN_STEP_TRIALS)
+    return workers, _CHUNK_TRIALS // workers & -_WORDS_PER_BLOCK
 
 
 def race_win_count(
@@ -366,16 +364,17 @@ def race_win_count(
 
     Disjoint chunks sum to the full-range count, so trial batches may run
     concurrently and merge.  _packed_below counts the range in pure
-    Python unless _numpy_draws(stop - start).  numpy draws it in steps
-    by one worker per usable CPU, the caller and a thread for each other
-    one, and each worker takes the next step as soon as it is free, so a
-    slow CPU holds up no one.  At most _CHUNK_TRIALS trials are in flight
-    at a time, so memory does not grow with stop - start.  After an error
-    in any step no worker takes another, and the error is raised here
-    once every thread has finished.  The two kernels give the same count.
-    TypeError for an argument that is not a whole number, and ValueError
-    for a seed outside [0, 2**128) or a negative stream, even when no
-    trial needs drawing.
+    Python unless _numpy_draws(stop - start).  numpy draws it in steps,
+    the caller alone when it is shorter than _CHUNK_TRIALS trials, and
+    otherwise one worker per usable CPU, the caller and a thread for
+    each other one, each taking the next step as soon as it is free, so
+    a slow CPU holds up no one.  At most _CHUNK_TRIALS trials are in
+    flight at a time, so memory does not grow with stop - start.  After
+    an error in any step no worker takes another, and the error is
+    raised here once every thread has finished.  The two kernels give
+    the same count.  TypeError for an argument that is not a whole
+    number, and ValueError for a seed outside [0, 2**128) or a negative
+    stream, even when no trial needs drawing.
     """
     # Whole numbers: a float raises TypeError.
     seed, stream, start, stop = map(operator.index, (seed, stream, start, stop))

@@ -14,7 +14,7 @@ run length and its cost does not depend on k or on the pool size.
 import math
 import operator
 from fractions import Fraction
-from numbers import Real
+from numbers import Rational, Real
 
 from . import _Record
 from .block_packer import (
@@ -27,13 +27,13 @@ from .weight_model import DEFAULT_PARAMS, NetworkParams
 
 
 def _shown(value) -> str:
-    """str(value) for a message.  An integer or fraction with a part past
-    Python's int-digit limit, which str refuses, shows its magnitude."""
-    try:
+    """str(value) for a message; a rational with a part past 133 bits shows its magnitude."""
+    if not isinstance(value, Rational):
         return str(value)
-    except ValueError:
-        magnitude = math.log10(abs(value.numerator)) - math.log10(value.denominator)
-        return f"about {'-' if value < 0 else ''}1e{magnitude:.0f}"
+    if max(abs(value.numerator), value.denominator).bit_length() <= 133:  # about 40 digits
+        return str(value)
+    magnitude = math.log10(abs(value.numerator)) - math.log10(value.denominator)
+    return f"about {'-' if value < 0 else ''}1e{round(magnitude)}"
 
 
 class UtxoSnapshot(_Record):
@@ -54,7 +54,7 @@ class UtxoSnapshot(_Record):
                 f"total must be an integer, got {_shown(total)} ({type(total).__name__})"
             )
         if total < 0:
-            raise ValueError(f"total must be >= 0, got {total}")
+            raise ValueError(f"total must be >= 0, got {_shown(total)}")
         # NaN fails the range test too.
         if isinstance(fraction, bool) or not (
             isinstance(fraction, Real) and 0 <= fraction <= 1
@@ -85,7 +85,7 @@ class EveryKthBlock(_Record):
         # A whole number of blocks: a float k raises TypeError.
         object.__setattr__(self, "k", operator.index(self.k))
         if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
+            raise ValueError(f"k must be >= 1, got {_shown(self.k)}")
 
 
 class FractionOfEachBlock(_Record):
@@ -221,7 +221,7 @@ def throttled_schedule(
         stride, share = 1, int(capacity * schedule_style.fraction)  # floor
         if share < 1:
             raise ValueError(
-                f"fraction {schedule_style.fraction} of capacity {capacity} "
+                f"fraction {_shown(schedule_style.fraction)} of capacity {capacity} "
                 "floors to zero upgrades per block"
             )
     full_blocks, tail = divmod(snapshot.total, share)

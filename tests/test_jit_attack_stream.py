@@ -7,7 +7,8 @@ for bit to numpy's SeedSequence and Philox.
 
 This process has numpy loaded, so race_win_count itself always takes
 the numpy kernel here: the pure kernel's helpers are called directly,
-or race_win_count in a fresh interpreter."""
+or race_win_count in a fresh interpreter.  Where numpy cannot be
+imported, the whole file is skipped."""
 
 import json
 import subprocess
@@ -16,7 +17,6 @@ import threading
 import tracemalloc
 from unittest import mock
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -39,6 +39,8 @@ from qsafe.jit_attack_sim import (
     break_duration,
     race_win_count,
 )
+
+np = pytest.importorskip("numpy")
 
 BASELINE = QuantumAttacker(key_bits=256, effective_clock_hz=1000.0)
 CHUNK = _CHUNK_TRIALS
@@ -304,24 +306,33 @@ def usable_cpus(count):
     start=st.integers(0, 2**40),
     length=st.one_of(
         st.integers(0, 20 * CHUNK),
-        st.sampled_from([_MIN_STEP_TRIALS - 1, _MIN_STEP_TRIALS, CHUNK // 2, CHUNK // 2 + 1]),
+        st.sampled_from([_MIN_STEP_TRIALS - 1, _MIN_STEP_TRIALS, CHUNK // 2, CHUNK // 2 + 1,
+                         CHUNK - 1, CHUNK, CHUNK + 1]),
     ),
 )
+@example(cpus=2, start=0, length=CHUNK // 2 + 1)
+@example(cpus=2, start=3, length=CHUNK - 1)
+@example(cpus=2, start=3, length=CHUNK)
 def test_workers_fit_the_cpus_and_the_range(cpus, start, length):
     with usable_cpus(cpus):
         workers, step = _workers(start, start + length)
     assert 1 <= workers <= min(cpus, CHUNK // _MIN_STEP_TRIALS)
     assert step == CHUNK // workers & -4 >= _MIN_STEP_TRIALS  # whole blocks
     assert workers == 1 or workers <= -(-length // step)  # never more workers than steps
+    # The caller alone below a chunk, where a thread costs more than it draws.
+    expected = 1 if length < CHUNK else min(cpus, CHUNK // _MIN_STEP_TRIALS)
+    assert (workers, step) == (expected, CHUNK // expected & -4)
 
 
 def with_lengths(workers):
-    """(workers, range length): lengths shorter than one step, ending on a
-    step boundary or on one where every worker has had as many steps, or
-    crossing one by a trial, and arbitrary ones."""
+    """(workers, range length): lengths shorter than one step; lengths a
+    chunk longer than a step boundary, or than one where every worker
+    has had as many steps, and a trial either side of those; and
+    arbitrary ones.  The added chunk puts each boundary in a range that
+    more than one worker draws."""
     with usable_cpus(workers):
         step = _workers(0, 2**40)[1]
-    boundaries = [k * step + d for k in (1, 2, workers - 1, workers, 2 * workers + 1)
+    boundaries = [CHUNK + k * step + d for k in (1, 2, workers - 1, workers, 2 * workers + 1)
                   for d in (-1, 0, 1)]
     lengths = st.one_of(st.sampled_from([1, step - 1, *boundaries]), st.integers(0, 4 * CHUNK))
     return st.tuples(st.just(workers), lengths)
@@ -338,7 +349,7 @@ def with_lengths(workers):
 @example(workers_length=(2, CHUNK), mining=Memoryless(), seed=42, stream=0, start=0)
 @example(workers_length=(3, 3 * (CHUNK // 3) + 1), mining=FixedInterval(),
          seed=2**128 - 7, stream=3, start=CHUNK - 1)
-@example(workers_length=(5, CHUNK // 5 - 1), mining=FixedInterval(),
+@example(workers_length=(5, CHUNK + CHUNK // 5 - 1), mining=FixedInterval(),
          seed=1, stream=1, start=70_000)
 def test_win_counts_do_not_depend_on_the_worker_count(
     workers_length, mining, seed, stream, start
