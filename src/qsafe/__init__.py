@@ -38,8 +38,7 @@ class _Record:
         # The class's own annotations, not inherited ones (Python 3.10 and
         # later).  Python 3.14 evaluates them lazily, on this first access,
         # rather than storing them in the class dict; every annotated name
-        # exists by now.  Under postponed evaluation they are strings, and
-        # only the names are used.
+        # exists by now.  Only the names are used, never the values.
         cls._fields = tuple(cls.__annotations__)
         cls._defaults = {name: cls.__dict__[name] for name in cls._fields if name in cls.__dict__}
 
@@ -81,6 +80,21 @@ class _Record:
     def _replace(self, **changes):
         """A copy with ``changes`` applied, built and checked anew."""
         return type(self)(**{**dict(zip(self._fields, self._values())), **changes})
+
+
+def _shown(value) -> str:
+    """str(value) for a message; a rational with a part past 133 bits shows its magnitude."""
+    # A rational has a denominator: testing for it, rather than
+    # numbers.Rational, keeps ``import qsafe`` from loading numbers.
+    if not hasattr(value, "denominator"):
+        return str(value)
+    if max(abs(value.numerator), value.denominator).bit_length() <= 133:  # about 40 digits
+        return str(value)
+    import math
+
+    magnitude = math.log10(abs(value.numerator)) - math.log10(value.denominator)
+    return f"about {'-' if value < 0 else ''}1e{round(magnitude)}"
+
 
 # The one list of the public names, by the submodule that defines each.
 _EXPORTS = {

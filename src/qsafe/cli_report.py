@@ -19,8 +19,6 @@ conversion; every other cell comes straight from a library call.
 Exit codes: 0 success, 1 bad usage or bad values, 2 I/O failure.
 """
 
-from __future__ import annotations
-
 import argparse
 import gc
 import io
@@ -29,10 +27,10 @@ import re
 import sys
 from fractions import Fraction
 from numbers import Rational
-from typing import TYPE_CHECKING
 
 # Each handler imports the model modules it calls, so a subcommand
 # loads only those.
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .migration_planner import UtxoSnapshot
     from .weight_model import NetworkParams
@@ -171,7 +169,7 @@ def _parse_fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def load_snapshot(path: str | None) -> UtxoSnapshot:
+def load_snapshot(path: str | None) -> "UtxoSnapshot":
     """Read a UTXO snapshot from a JSON file, or return the built-in one.
 
     Expected shape: an object with integer ``total_utxos`` (required),
@@ -207,7 +205,7 @@ def load_snapshot(path: str | None) -> UtxoSnapshot:
         raise ValueError(f"snapshot {path}: {exc}") from exc
 
 
-def _params(args) -> NetworkParams:
+def _params(args) -> "NetworkParams":
     from .weight_model import DEFAULT_PARAMS
 
     if getattr(args, "include_reserves", False):
@@ -247,13 +245,9 @@ def _cmd_capacity(args):
 
 
 def _schedule_rows(snapshot, bandwidths, style_name, params):
+    from . import _shown
     from .block_packer import UpgradeScheme
-    from .migration_planner import (
-        EveryKthBlock,
-        FractionOfEachBlock,
-        _shown,
-        throttled_schedule,
-    )
+    from .migration_planner import EveryKthBlock, FractionOfEachBlock, throttled_schedule
 
     rows = []
     for scheme in (UpgradeScheme.ECDSA_SEGWIT, UpgradeScheme.SCHNORR_TAPROOT):

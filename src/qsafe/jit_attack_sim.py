@@ -47,18 +47,16 @@ Importing qsafe, its exact subcommands and a default ``attack`` never
 load numpy, and without numpy every range is counted in pure Python.
 """
 
-from __future__ import annotations
-
 import math
 import operator
 import os
 import sys
 from decimal import Context
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
-from . import _Record
+from . import _Record, _shown
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     import numpy as np
 
@@ -80,7 +78,7 @@ class QuantumAttacker(_Record):
         # A whole number of bits: a float raises TypeError.
         object.__setattr__(self, "key_bits", operator.index(self.key_bits))
         if self.key_bits < 0:
-            raise ValueError(f"key_bits must be >= 0, got {self.key_bits}")
+            raise ValueError(f"key_bits must be >= 0, got {_shown(self.key_bits)}")
         _check_positive("effective_clock_hz", self.effective_clock_hz)
         if not (math.isfinite(self.overhead_seconds) and self.overhead_seconds >= 0):
             raise ValueError(
@@ -287,7 +285,7 @@ def _packed_below(key: tuple[int, int], start: int, stop: int, word_edge: int) -
     return below
 
 
-def _philox(key: tuple[int, int], start: int) -> np.random.Philox:
+def _philox(key: tuple[int, int], start: int) -> "np.random.Philox":
     """numpy's bit generator of the stream keyed by key, at word start.
     numpy steps its counter before each block, so counter b mod 2**256
     yields block b first; the words before start in it are dropped."""
@@ -379,14 +377,14 @@ def race_win_count(
     # Whole numbers: a float raises TypeError.
     seed, stream, start, stop = map(operator.index, (seed, stream, start, stop))
     if not 0 <= start <= stop:
-        raise ValueError(f"need 0 <= start <= stop, got [{start}, {stop})")
+        raise ValueError(f"need 0 <= start <= stop, got [{_shown(start)}, {_shown(stop)})")
     # Streams are defined for seeds of at most 128 bits, and a larger one
     # would alias a smaller.  Checked before the early return below, so
     # every row refuses the same seeds and streams.
     if not 0 <= seed < 1 << 128:
-        raise ValueError(f"seed must be in [0, 2**128), got {seed}")
+        raise ValueError(f"seed must be in [0, 2**128), got {_shown(seed)}")
     if stream < 0:
-        raise ValueError(f"stream must be >= 0, got {stream}")
+        raise ValueError(f"stream must be >= 0, got {_shown(stream)}")
     # Workers call private helpers only, so wrappers around the public
     # functions see one call per race_win_count, from this thread.
     edge, below = _win_edge(scenario.mining, break_duration(scenario.attacker))
@@ -482,7 +480,7 @@ def success_probability_monte_carlo(
     """Estimate the attacker-win probability and its binomial standard error."""
     n_trials = operator.index(n_trials)
     if n_trials < 1:  # named as the CLI's --trials flag
-        raise ValueError(f"trials must be >= 1, got {n_trials}")
+        raise ValueError(f"trials must be >= 1, got {_shown(n_trials)}")
     wins = race_win_count(scenario, seed, 0, n_trials, stream=stream)
     estimate = wins / n_trials
     std_error = math.sqrt(estimate * (1.0 - estimate) / n_trials)

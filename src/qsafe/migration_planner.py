@@ -11,12 +11,11 @@ per-block shares plus one partial tail, so a schedule is held as that
 run length and its cost does not depend on k or on the pool size.
 """
 
-import math
 import operator
 from fractions import Fraction
-from numbers import Rational, Real
+from numbers import Real
 
-from . import _Record
+from . import _Record, _shown
 from .block_packer import (
     PackingMode,
     UpgradeScheme,
@@ -24,16 +23,6 @@ from .block_packer import (
     per_block_capacity,
 )
 from .weight_model import DEFAULT_PARAMS, NetworkParams
-
-
-def _shown(value) -> str:
-    """str(value) for a message; a rational with a part past 133 bits shows its magnitude."""
-    if not isinstance(value, Rational):
-        return str(value)
-    if max(abs(value.numerator), value.denominator).bit_length() <= 133:  # about 40 digits
-        return str(value)
-    magnitude = math.log10(abs(value.numerator)) - math.log10(value.denominator)
-    return f"about {'-' if value < 0 else ''}1e{round(magnitude)}"
 
 
 class UtxoSnapshot(_Record):

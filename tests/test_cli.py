@@ -608,6 +608,22 @@ def test_attack_validation(capsys):
     assert run_capture(capsys, ["attack", "--overhead", "-1"])[0] == 1
 
 
+LONG = "9" * 4000  # inside Python's int-digit limit, so str() prints it whole
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--seed", LONG], ["--seed", "-" + LONG], ["--trials", "-" + LONG], ["--key-bits", "-" + LONG]],
+    ids=["seed", "negative-seed", "trials", "key-bits"],
+)
+def test_attack_shows_a_long_value_by_its_magnitude(capsys, flags):
+    code, out, err = run_capture(capsys, ["attack", *flags])
+    assert code == 1 and out == ""
+    assert err.startswith("qsafe: error: ") and err.count("\n") == 1
+    assert "about " in err
+    assert len(err.encode()) < 200
+
+
 @pytest.mark.parametrize(
     "flags",
     [

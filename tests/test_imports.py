@@ -1,8 +1,9 @@
 """What ``import qsafe`` exposes, which modules each subcommand loads,
 that numpy is loaded only when an ``attack`` draws more than
 ``_PURE_TRIALS`` trials, that no subcommand at its defaults loads
-``dataclasses`` or ``inspect``, and that a cold command imports ``json``,
-``csv`` and ``threading`` only when it uses them.
+``dataclasses`` or ``inspect``, that a cold command imports ``json``,
+``csv`` and ``threading`` only when it uses them, and ``typing`` and
+``__future__`` never.
 
 Each load check runs in a fresh interpreter, because this test process
 has long since imported every qsafe module and numpy.
@@ -50,21 +51,30 @@ def loaded_after(argv, then="") -> dict:
     return loaded
 
 
-def imported_by_cold_command(argv) -> set:
-    """Every module a cold ``python -m qsafe *argv`` imports, read from
-    the stderr lines of ``-X importtime``; no bytecode is written.
+def imported_by_cold_command(argv, *options) -> set:
+    """Every module a cold ``python *options -m qsafe *argv`` imports,
+    read from the stderr lines of ``-X importtime``; no bytecode is
+    written.
 
     What ``site`` imports at start-up is the interpreter's, not the
     command's, and is left out: a ``.pth`` file that imports ``certifi``
     brings in ``threading``, for one.  A line is written when its import
     ends, so ``site``'s own top-level line follows everything it loaded.
+    The directory qsafe was imported from leads ``PYTHONPATH``, so that
+    it is found under ``-S`` too, which skips ``site`` and its ``.pth``
+    files.
     """
+    path = [os.path.dirname(os.path.dirname(qsafe.__file__)), os.environ.get("PYTHONPATH")]
     result = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "qsafe", *argv],
+        [sys.executable, *options, "-X", "importtime", "-m", "qsafe", *argv],
         capture_output=True,
         text=True,
         check=True,
-        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+        env={
+            **os.environ,
+            "PYTHONDONTWRITEBYTECODE": "1",
+            "PYTHONPATH": os.pathsep.join(filter(None, path)),
+        },
     )
     lines = [line for line in result.stderr.splitlines() if line.startswith("import time:")]
     names = [line.rsplit("|", 1)[1] for line in lines]
@@ -138,6 +148,16 @@ def test_a_cold_command_imports_only_its_formats_module(command, fmt):
     imported = imported_by_cold_command([*FORMAT_RUNS[command], "--format", fmt])
     assert "qsafe.cli_report" in imported
     assert imported & {"csv", "json"} == FORMAT_MODULES[fmt]
+
+
+@pytest.mark.parametrize("command", ["capacity", "plan", "attack", "impact"])
+def test_a_cold_command_imports_no_typing_or_future(command):
+    # Annotations are evaluated when defined, and the few that name what
+    # only a type checker imports are strings.  -S keeps site, which may
+    # import typing for a .pth file, from loading it first.
+    imported = imported_by_cold_command([command], "-S")
+    assert "qsafe.cli_report" in imported
+    assert imported & {"typing", "__future__"} == set()
 
 
 def test_a_default_cold_attack_imports_no_threading():
