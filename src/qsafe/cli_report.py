@@ -1,11 +1,6 @@
 """Command line front end and report rendering.
 
-Four subcommands, one per model surface:
-
-  capacity   per-block upgrade capacities for each packing strategy
-  plan       migration duration lower bounds, or throttled schedules
-  attack     key-theft race probabilities (closed form and Monte Carlo)
-  impact     post-quantum signature weight and throughput cost
+Four subcommands, one per model surface, each declared in ``_COMMANDS``.
 
 Reports render in one of ``FORMATS``: CSV, JSON, or a Markdown table.
 Duration cells carry exact ``Fraction`` values until rendering: CSV and
@@ -19,7 +14,6 @@ conversion; every other cell comes straight from a library call.
 Exit codes: 0 success, 1 bad usage or bad values, 2 I/O failure.
 """
 
-import argparse
 import gc
 import io
 import os
@@ -122,20 +116,26 @@ def render_report(rows, fmt, rounded=()) -> str:
 # --- input parsing ----------------------------------------------------
 
 
-class _Parser(argparse.ArgumentParser):
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        # argparse reads an argument that looks like a negative number as
-        # a value, not a flag.  Its pattern knows -1 and -.5 but not -1/2
-        # or -1e-3, so without this such a negative literal would never
-        # reach the range checks.
-        known = self._negative_number_matcher.pattern
-        self._negative_number_matcher = re.compile(rf"{known}|^-[\d.]+([eE][-+]?\d+|/\d+)$")
+def _echo(text: str, show=repr) -> str:
+    """show(text) for a message; past 40 characters, show its first 40 and its length."""
+    return show(text) if len(text) <= 40 else f"{show(text[:40])}... ({len(text)} characters)"
 
-    # argparse exits with status 2 on bad flags; usage problems here are
-    # exit 1, with 2 reserved for I/O, so route errors through ValueError.
-    def error(self, message):
-        raise ValueError(f"{message}\n{self.format_usage().rstrip()}")
+
+def _parsed(read, text: str, failure: str):
+    """read(text), else ValueError: "too many digits" if the text reads
+    with each run of digits cut to one, so that only Python's int-digit
+    limit refused it, and ``failure`` otherwise."""
+    try:
+        return read(text)
+    except ValueError:
+        try:
+            read(re.sub(r"\d+", "1", text))
+            failure = "too many digits"
+        except ValueError:
+            pass
+    except ZeroDivisionError:
+        pass
+    raise ValueError(f"{failure}: {_echo(text)}")
 
 
 # Fraction("1eN") builds 10**N, in time superlinear in N, before any
@@ -146,27 +146,13 @@ _MAX_EXPONENT = 4300
 
 def _exact_literal(text: str) -> Fraction:
     """The exact value of a decimal or p/q literal.  ValueError for an
-    exponent beyond _MAX_EXPONENT, refused before 10**N is built, and for
-    nan, inf, 1/0 and text that is not a number."""
+    exponent beyond _MAX_EXPONENT, refused before 10**N is built, for too
+    many digits, and for nan, inf, 1/0 and text that is not a number."""
     match = re.search(r"[eE][-+]?([\d_]+)", text)
-    if match is not None:
-        digits = match[1].replace("_", "").lstrip("0")
-        if len(digits) > len(str(_MAX_EXPONENT)) or int(digits or 0) > _MAX_EXPONENT:
-            raise ValueError(f"decimal exponent beyond {_MAX_EXPONENT} in magnitude: {text!r}")
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a number: {text!r}") from exc
-
-
-# argparse replaces ValueError messages from type= callbacks with a
-# generic one; ArgumentTypeError text survives verbatim.
-def _parse_fraction(text: str) -> Fraction:
-    """_exact_literal for a flag; argparse names the flag."""
-    try:
-        return _exact_literal(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+    digits = match[1].replace("_", "").lstrip("0") if match else ""
+    if len(digits) > len(str(_MAX_EXPONENT)) or int(digits or 0) > _MAX_EXPONENT:
+        raise ValueError(f"decimal exponent beyond {_MAX_EXPONENT} in magnitude: {_echo(text)}")
+    return _parsed(Fraction, text, "not a number")
 
 
 def load_snapshot(path: str | None) -> "UtxoSnapshot":
@@ -208,9 +194,8 @@ def load_snapshot(path: str | None) -> "UtxoSnapshot":
 def _params(args) -> "NetworkParams":
     from .weight_model import DEFAULT_PARAMS
 
-    if getattr(args, "include_reserves", False):
-        return DEFAULT_PARAMS._replace(apply_reserves=True)
-    return DEFAULT_PARAMS
+    reserves = args.get("--include-reserves")
+    return DEFAULT_PARAMS._replace(apply_reserves=True) if reserves else DEFAULT_PARAMS
 
 
 # --- subcommand handlers ----------------------------------------------
@@ -281,19 +266,19 @@ def _cmd_plan(args):
     from .migration_planner import bandwidth_table, mixed_duration
 
     params = _params(args)
-    snapshot = load_snapshot(args.snapshot)
-    bandwidths = args.bandwidth
-    if args.schedule is not None:
+    snapshot = load_snapshot(args["--snapshot"])
+    bandwidths = args["--bandwidth"]
+    if args["--schedule"] is not None:
         if bandwidths is None:
             raise ValueError("--schedule requires an explicit --bandwidth")
-        if args.schnorr_fraction is not None:
+        if args["--schnorr-fraction"] is not None:
             raise ValueError(
                 "--schnorr-fraction does not apply to --schedule: "
                 "schedules price the whole pool under each scheme"
             )
-        return _schedule_rows(snapshot, bandwidths, args.schedule, params)
-    if args.schnorr_fraction is not None:
-        snapshot = snapshot._replace(schnorr_fraction=args.schnorr_fraction)
+        return _schedule_rows(snapshot, bandwidths, args["--schedule"], params)
+    if args["--schnorr-fraction"] is not None:
+        snapshot = snapshot._replace(schnorr_fraction=args["--schnorr-fraction"])
     if bandwidths is None:
         bandwidths = list(DEFAULT_BANDWIDTHS)
     rows = bandwidth_table(snapshot, bandwidths, params)
@@ -316,27 +301,27 @@ def _cmd_attack(args):
         sweep,
     )
 
-    clocks = args.clock_hz if args.clock_hz is not None else list(DEFAULT_CLOCKS)
-    mining = FixedInterval() if args.mining == "fixed" else Memoryless()
-    overhead = args.overhead + 0.0  # --overhead -0 prints as 0.0
+    clocks = args["--clock-hz"] or list(DEFAULT_CLOCKS)
+    mining = FixedInterval() if args["--mining"] == "fixed" else Memoryless()
+    overhead = args["--overhead"] + 0.0  # --overhead -0 prints as 0.0
     scenario = AttackScenario(
-        attacker=QuantumAttacker(key_bits=args.key_bits, overhead_seconds=overhead),
+        attacker=QuantumAttacker(key_bits=args["--key-bits"], overhead_seconds=overhead),
         mining=mining,
     )
     rows = []
-    for result in sweep(scenario, clocks, args.trials, args.seed):
+    for result in sweep(scenario, clocks, args["--trials"], args["--seed"]):
         rows.append(
             {
-                "mining": args.mining,
-                "key_bits": args.key_bits,
+                "mining": args["--mining"],
+                "key_bits": args["--key-bits"],
                 "clock_hz": result["clock_hz"],
                 "overhead_seconds": overhead,
                 "break_seconds": result["break_seconds"],
                 "p_closed_form": result["p_closed_form"],
                 "p_estimate": result["p_estimate"],
                 "std_error": result["std_error"],
-                "trials": args.trials,
-                "seed": args.seed,
+                "trials": args["--trials"],
+                "seed": args["--seed"],
             }
         )
     return rows, ()
@@ -371,106 +356,120 @@ def _cmd_impact(args):
     return rows, ()
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="qsafe", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
+# --- the command line -------------------------------------------------
 
-    def add_reserves(p):
-        p.add_argument(
-            "--include-reserves", action="store_true",
-            help="subtract header and counter reserves from the block limit",
-        )
+# The one declaration of the command line: per subcommand its help, handler
+# and flags; per flag its reader (a function of its text, a tuple of the
+# values it may take, or None for a switch), default, repeats and help.
+_OUTPUT = {"--format": (FORMATS, "csv", False, "output format"),
+           "--out": (str, None, False, "write output to this file, not stdout")}
+_BLOCK_FLAGS = {"--include-reserves": (None, None, False, "subtract block reserves"), **_OUTPUT}
+_COMMANDS = {
+    "capacity": ("per-block upgrade capacity by packing strategy", _cmd_capacity, _BLOCK_FLAGS),
+    "plan": ("migration duration bounds and throttled schedules", _cmd_plan, {
+        "--snapshot": (str, None, False, "UTXO snapshot JSON file"),
+        "--bandwidth": (_exact_literal, None, True,
+                        "block share in (0, 1]; repeatable (default: 1/4 1/2 3/4 1)"),
+        "--schnorr-fraction": (_exact_literal, None, False,
+                               "override the snapshot's key-aggregable share, in [0, 1]"),
+        "--schedule": (("k", "fraction"), None, False,
+                       "schedule upgrades in every k-th block, or in a share of each block"),
+        **_BLOCK_FLAGS}),
+    "attack": ("key-theft race win probabilities", _cmd_attack, {
+        "--key-bits": (int, 256, False, "bits of the key to break"),
+        "--clock-hz": (float, None, True, "effective logical clock; repeatable (default: 1000)"),
+        "--overhead": (float, 0.0, False, "fixed key-extraction overhead in seconds"),
+        "--mining": (("fixed", "memoryless"), "memoryless", False, "block arrival model"),
+        "--trials": (int, DEFAULT_TRIALS, False, "Monte Carlo trials per row"),
+        "--seed": (int, DEFAULT_SEED, False, "RNG seed"),
+        **_OUTPUT}),
+    "impact": ("post-quantum signature throughput impact", _cmd_impact, _BLOCK_FLAGS),
+}
 
-    def add_common(p):
-        p.add_argument(
-            "--format", choices=FORMATS, default="csv",
-            help="output format (default: csv)",
-        )
-        p.add_argument("--out", metavar="PATH", help="write output to a file")
 
-    p_capacity = sub.add_parser(
-        "capacity", help="per-block upgrade capacity by packing strategy"
-    )
-    add_reserves(p_capacity)
-    add_common(p_capacity)
-    p_capacity.set_defaults(handler=_cmd_capacity)
+def _read(argv):
+    """The handler argv names and its flags' values, or (None, None) once the
+    help asked for is printed; else ValueError ending in a usage line.  A
+    flag's value follows = or is the next word, unless that is -h or --*."""
+    command, words = None, iter(argv)
+    try:
+        for word in words:
+            if word in ("-h", "--help"):
+                sys.stdout.write(_help(command))
+                return None, None
+            if command is None:
+                command = _value("command", tuple(_COMMANDS), word)
+                _, handler, flags = _COMMANDS[command]
+                values = {flag: spec[1] for flag, spec in flags.items()}
+                continue
+            flag, given, text = word.partition("=")
+            if flag not in flags or (given and flags[flag][0] is None):
+                raise ValueError(f"unrecognized arguments: {_echo(word, str)}")
+            reader, _, repeats, _ = flags[flag]
+            if reader is not None and not given:
+                text = next(words, "--")  # at the end, as if a flag followed
+                if text == "-h" or text.startswith("--"):
+                    raise ValueError(f"argument {flag}: expected one argument")
+            value = True if reader is None else _value(flag, reader, text)
+            values[flag] = [*(values[flag] or ()), value] if repeats else value
+        if command is None:
+            raise ValueError("the following arguments are required: command")
+    except ValueError as exc:
+        usage = _help(command).partition("\n")[0]
+        raise ValueError(f"{exc}\n{usage}") from None
+    return handler, values
 
-    p_plan = sub.add_parser(
-        "plan", help="migration duration bounds and throttled schedules"
-    )
-    p_plan.add_argument("--snapshot", metavar="PATH", help="UTXO snapshot JSON file")
-    p_plan.add_argument(
-        "--bandwidth", action="append", type=_parse_fraction, metavar="FRACTION",
-        help="block share in (0, 1]; repeatable (default: 1/4 1/2 3/4 1)",
-    )
-    p_plan.add_argument(
-        "--schnorr-fraction", type=_parse_fraction, metavar="F",
-        help="override the snapshot's key-aggregable share in [0, 1] (not with --schedule)",
-    )
-    p_plan.add_argument(
-        "--schedule", choices=["k", "fraction"],
-        help="emit a throttled schedule instead of lower bounds "
-        "(k: upgrade every k-th block; fraction: share of each block)",
-    )
-    add_reserves(p_plan)
-    add_common(p_plan)
-    p_plan.set_defaults(handler=_cmd_plan)
 
-    p_attack = sub.add_parser(
-        "attack", help="key-theft race win probabilities"
-    )
-    p_attack.add_argument("--key-bits", type=int, default=256)
-    p_attack.add_argument(
-        "--clock-hz", action="append", type=float, metavar="HZ",
-        help="effective logical clock; repeatable (default: 1000)",
-    )
-    p_attack.add_argument(
-        "--overhead", type=float, default=0.0, metavar="SECONDS",
-        help="fixed key-extraction overhead (default: 0)",
-    )
-    p_attack.add_argument(
-        "--mining", choices=["fixed", "memoryless"], default="memoryless",
-        help="block arrival model (default: memoryless)",
-    )
-    p_attack.add_argument(
-        "--trials", type=int, default=DEFAULT_TRIALS,
-        help=f"Monte Carlo trials per row (default: {DEFAULT_TRIALS})",
-    )
-    p_attack.add_argument(
-        "--seed", type=int, default=DEFAULT_SEED,
-        help=f"RNG seed (default: {DEFAULT_SEED})",
-    )
-    add_common(p_attack)
-    p_attack.set_defaults(handler=_cmd_attack)
+def _value(flag: str, reader, text: str):
+    """What a flag's reader reads from its text, or ValueError naming the flag."""
+    try:
+        if isinstance(reader, tuple):
+            if text in reader:
+                return text
+            choices = ", ".join(map(repr, reader))
+            raise ValueError(f"invalid choice: {_echo(text)} (choose from {choices})")
+        if reader in (int, float):
+            return _parsed(reader, text, f"invalid {reader.__name__} value")
+        return reader(text)
+    except ValueError as exc:
+        raise ValueError(f"argument {flag}: {exc}") from None
 
-    p_impact = sub.add_parser(
-        "impact", help="post-quantum signature throughput impact"
-    )
-    add_reserves(p_impact)
-    add_common(p_impact)
-    p_impact.set_defaults(handler=_cmd_impact)
-    return parser
+
+def _help(command=None) -> str:
+    """--help for qsafe or one subcommand, from _COMMANDS; its first line is the usage."""
+    if command is None:
+        entries = {name: about for name, (about, _, _) in _COMMANDS.items()}
+        usage = "[-h] {" + ",".join(_COMMANDS) + "} ..."
+    else:
+        entries = {
+            flag + ("" if reader is None else " {" + ",".join(reader) + "}"
+                    if isinstance(reader, tuple) else " " + flag[2:].upper().replace("-", "_")):
+            text if default is None else f"{text} (default: {default})"
+            for flag, (reader, default, _, text) in _COMMANDS[command][2].items()
+        }
+        usage = " ".join([command, "[-h]", *(f"[{name}]" for name in entries)])
+    width = max(map(len, entries)) + 2
+    lines = "".join(f"  {name:<{width}}{text}\n" for name, text in entries.items())
+    return f"usage: qsafe {usage}\n\n{lines}"
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
     # stdout is flushed inside this try, so that a closed stdout is
     # reported as a failed --out is.
     try:
-        try:
-            args = parser.parse_args(argv)
-        except SystemExit as exc:  # --help
+        handler, args = _read(sys.argv[1:] if argv is None else argv)
+        if handler is None:  # _read printed the help asked for
             sys.stdout.flush()
-            return int(exc.code or 0)
-        rows, rounded = args.handler(args)
-        text = render_report(rows, args.format, rounded)
-        if args.out is None:
+            return EXIT_OK
+        rows, rounded = handler(args)
+        text = render_report(rows, args["--format"], rounded)
+        if args["--out"] is None:
             sys.stdout.write(text)
             sys.stdout.flush()
         else:
             # newline="" keeps the file's bytes equal to stdout's on
             # every platform.
-            with open(args.out, "w", encoding="utf-8", newline="") as handle:
+            with open(args["--out"], "w", encoding="utf-8", newline="") as handle:
                 handle.write(text)
     except OSError as exc:
         print(f"qsafe: error: {exc}", file=sys.stderr)
@@ -490,11 +489,11 @@ def main() -> None:
         # the interpreter's own flush at exit cannot fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     # At exit the interpreter collects, one by one, every cycle that the
-    # imports built (classes, functions, the argparse parser): about
-    # 4 ms of a 30 ms cold command.  Nothing left alive here needs a
-    # finaliser: --out is closed, and the standard streams are still
-    # flushed and atexit handlers still run.  run() never freezes, so
-    # callers in-process keep a normal collector.
+    # imports built (classes and functions): about 4 ms of a 30 ms cold
+    # command.  Nothing left alive here needs a finaliser: --out is
+    # closed, and the standard streams are still flushed and atexit
+    # handlers still run.  run() never freezes, so callers in-process
+    # keep a normal collector.
     gc.freeze()
     sys.exit(code)
 

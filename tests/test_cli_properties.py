@@ -2,11 +2,10 @@
 exits 1 with one error line.
 
 Argv is generated from each subcommand's own flags, read from the
-parser, with values drawn from extreme and malformed literals.  Snapshot
-files are generated the same way, as bytes.
+table that declares them, with values drawn from extreme and malformed
+literals.  Snapshot files are generated the same way, as bytes.
 """
 
-import argparse
 import csv
 import io
 import json
@@ -17,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from qsafe.cli_report import build_parser, run
+from qsafe.cli_report import _COMMANDS, run
 
 HUGE = str(2**128)
 LITERALS = (
@@ -28,24 +27,18 @@ VALUES = st.sampled_from(LITERALS) | st.sampled_from(("0", "1", "1/2", "0.3", "2
 # Any count of trials is legal; large ones are only slow.
 TRIALS = st.integers(1, 2000).map(str) | st.sampled_from([v for v in LITERALS if v != HUGE])
 
-SUBCOMMANDS = next(
-    action.choices
-    for action in build_parser()._actions
-    if isinstance(action, argparse._SubParsersAction)
-)
 # Path flags are left out: a missing file is an I/O failure, exit 2.
 PATH_FLAGS = {"--out", "--snapshot"}
 
 
-def flag_argv(action):
-    """Strategy for one use of an option, as a list of argv words."""
-    flag = action.option_strings[-1]
-    if action.nargs == 0:
+def flag_argv(flag, reader):
+    """Strategy for one use of a flag, as a list of argv words."""
+    if reader is None:
         return st.just([flag])
     if flag == "--trials":
         values = TRIALS
-    elif action.choices is not None:
-        values = st.sampled_from(list(action.choices)) | VALUES
+    elif isinstance(reader, tuple):
+        values = st.sampled_from(reader) | VALUES
     else:
         values = VALUES
     return values.map(lambda value: [flag, value])
@@ -53,10 +46,9 @@ def flag_argv(action):
 
 def argvs(command):
     options = [
-        flag_argv(action)
-        for action in SUBCOMMANDS[command]._actions
-        if action.option_strings and action.dest != "help"
-        and action.option_strings[-1] not in PATH_FLAGS
+        flag_argv(flag, reader)
+        for flag, (reader, _, _, _) in _COMMANDS[command][2].items()
+        if flag not in PATH_FLAGS
     ]
     uses = st.lists(st.one_of(options), max_size=5)
     argv = uses.map(lambda words: [command] + [word for use in words for word in use])
@@ -88,7 +80,7 @@ def assert_finite_cells(text, fmt):
     assert not [cell for cell in found if cell.lower().lstrip("-") in ("nan", "inf", "infinity")]
 
 
-@pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_run_prints_finite_cells_or_exits_one_with_one_error_line(command, data):

@@ -2,8 +2,8 @@
 that numpy is loaded only when an ``attack`` draws more than
 ``_PURE_TRIALS`` trials, that no subcommand at its defaults loads
 ``dataclasses`` or ``inspect``, that a cold command imports ``json``,
-``csv`` and ``threading`` only when it uses them, and ``typing`` and
-``__future__`` never.
+``csv`` and ``threading`` only when it uses them, and ``typing``,
+``__future__``, ``argparse`` and what argparse imports never.
 
 Each load check runs in a fresh interpreter, because this test process
 has long since imported every qsafe module and numpy.
@@ -151,13 +151,16 @@ def test_a_cold_command_imports_only_its_formats_module(command, fmt):
 
 
 @pytest.mark.parametrize("command", ["capacity", "plan", "attack", "impact"])
-def test_a_cold_command_imports_no_typing_or_future(command):
+def test_a_cold_command_imports_no_typing_future_or_argparse(command):
     # Annotations are evaluated when defined, and the few that name what
-    # only a type checker imports are strings.  -S keeps site, which may
-    # import typing for a .pth file, from loading it first.
+    # only a type checker imports are strings.  qsafe reads its flags
+    # itself, without argparse and the gettext, locale and shutil it
+    # imports.  -S keeps site, which may import some of these for a .pth
+    # file, from loading them first.
     imported = imported_by_cold_command([command], "-S")
     assert "qsafe.cli_report" in imported
-    assert imported & {"typing", "__future__"} == set()
+    forbidden = {"typing", "__future__", "argparse", "gettext", "locale", "shutil"}
+    assert imported & forbidden == set()
 
 
 def test_a_default_cold_attack_imports_no_threading():
