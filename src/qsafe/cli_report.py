@@ -170,24 +170,23 @@ def load_snapshot(path: str | None) -> "UtxoSnapshot":
         return DEFAULT_SNAPSHOT
     import json
 
-    with open(path, encoding="utf-8") as handle:
-        # Bad UTF-8, bad JSON, too many digits and too large an exponent
-        # raise ValueError; deep nesting, RecursionError.
-        try:
-            payload = json.load(handle, parse_float=_exact_literal)
-        except (ValueError, RecursionError) as exc:
-            raise ValueError(f"snapshot {path}: invalid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ValueError(f"snapshot {path}: expected a JSON object")
-    if "total_utxos" not in payload:
-        raise ValueError(f"snapshot {path}: missing required field total_utxos")
     try:
+        with open(path, encoding="utf-8") as handle:
+            payload = json.load(
+                handle, parse_float=_exact_literal, parse_int=lambda text: _parsed(int, text, "")
+            )
+        if not isinstance(payload, dict):
+            raise ValueError("expected a JSON object")
+        if "total_utxos" not in payload:
+            raise ValueError("missing required field total_utxos")
         return UtxoSnapshot(
             as_of=str(payload.get("as_of", "unspecified")),
             total=payload["total_utxos"],
             schnorr_fraction=payload.get("schnorr_fraction", 0),
         )
-    except ValueError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        raise ValueError(f"snapshot {path}: invalid JSON: {exc}") from exc
+    except ValueError as exc:  # a number too long or too large, or a bad field
         raise ValueError(f"snapshot {path}: {exc}") from exc
 
 

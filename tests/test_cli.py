@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from qsafe import jit_attack_sim
+from qsafe import _shown, jit_attack_sim
 from qsafe.block_packer import UpgradeScheme
 from qsafe.cli_report import (
     DEFAULT_BANDWIDTHS,
@@ -111,9 +111,11 @@ def test_plan_schedule_every_kth(capsys):
 
 def test_plan_schedule_every_kth_takes_a_huge_k(capsys):
     # A billion blocks per upgrade block: the timeline is a closed form.
+    began = time.perf_counter()
     code, out, err = run_capture(
         capsys, ["plan", "--schedule", "k", "--bandwidth", "1/1000000000"]
     )
+    assert time.perf_counter() - began < 10
     assert code == 0 and err == ""
     rows = parse_csv(out)
     assert [row["upgrade_blocks"] for row in rows] == ["10969", "7842"]
@@ -241,7 +243,7 @@ def test_a_snapshot_decimal_with_a_huge_exponent_is_refused(tmp_path, capsys, te
     assert time.perf_counter() - began < 1
     assert code == 1 and out == ""
     assert err == (
-        f"qsafe: error: snapshot {path}: invalid JSON: decimal exponent beyond 4300 "
+        f"qsafe: error: snapshot {path}: decimal exponent beyond 4300 "
         f"in magnitude: {text.replace('_', '')!r}\n"
     )
 
@@ -300,6 +302,12 @@ def test_a_value_of_thousands_of_digits_is_shown_by_its_magnitude(tmp_path, caps
     assert err.startswith("qsafe: error: ") and err.count("\n") == 1
     assert "about 1e" in err or "about -1e" in err
     assert len(err.encode()) < 200
+
+
+def test_a_value_is_shown_whole_up_to_133_bits():
+    assert _shown(2**133 - 1) == str(2**133 - 1) and len(str(2**133 - 1)) == 41
+    assert (_shown(2**133), _shown(-(2**133))) == ("about 1e40", "about -1e40")
+    assert _shown(Fraction(1, 2**133)) == "about 1e-40"
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
@@ -516,6 +524,15 @@ def test_attack_without_numpy_prints_what_numpy_draws(capsys):
     argvs = [["attack", *flags, "--format", fmt] for flags in ATTACK_GOLDENS for fmt in FORMATS]
     argvs.append(["attack", "--mining", "fixed", "--clock-hz", "1000", "--clock-hz", "1e6",
                   "--trials", "1000000"])  # a README sample
+    # 524288 trials (_PURE_TRIALS) is the most an attack counts in pure
+    # Python while numpy is not loaded.  Both kernels must print the same
+    # bytes for one row from trial 0 to a whole block, for two rows of
+    # 262141 trials, which ends inside a block, and for ten rows of 50000
+    # trials, each shorter than a chunk and so drawn by the caller alone.
+    clocks = "300 500 700 1000 1500 2000 3000 5000 10000 30000".split()
+    for flags in (["524288"], ["262141", "--clock-hz=300", "--clock-hz=3000", "--mining=fixed"],
+                  ["50000", *(f"--clock-hz={hz}" for hz in clocks)]):
+        argvs.append(["attack", "--trials", *flags, "--format", "json"])
     result = subprocess.run(
         [sys.executable, "-c", BLOCKED_NUMPY_PROBE, json.dumps(argvs)],
         capture_output=True, text=True, check=True,
@@ -754,8 +771,20 @@ def test_a_long_flag_text_is_echoed_by_its_start_and_length(capsys, argv, messag
     assert max(len(line.encode()) for line in err.splitlines()) < 200
 
 
+@pytest.mark.parametrize("fields", ["", "-", "5, \"schnorr_fraction\": "],
+                         ids=["total", "negative-total", "schnorr-fraction"])
+def test_a_snapshot_integer_past_the_digit_limit_has_too_many_digits(tmp_path, capsys, fields):
+    path = tmp_path / "snap.json"
+    path.write_text(f'{{"total_utxos": {fields}{NINES}}}')
+    code, out, err = run_capture(capsys, ["plan", "--snapshot", str(path)])
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert err.startswith(f"qsafe: error: snapshot {path}: too many digits: ")
+    assert "set_int_max_str_digits" not in err
+
+
 # A cold command exits through main(), which freezes the collector
-# first; its exit code, stdout and stderr must still be run()'s.
+# first; its exit code, stdout, stderr and the files it writes must
+# still be run()'s.
 COLD_EXITS = {
     "capacity": (["capacity"], 0),
     "help": (["--help"], 0),
@@ -766,17 +795,35 @@ COLD_EXITS = {
     "bandwidth-long": (["plan", "--bandwidth", LONG_TEXT], 1),
     "missing-snapshot": (["plan", "--snapshot", "{tmp}/nope"], 2),
     "out-missing-dir": (["capacity", "--out", "{tmp}/no/dir/x.csv"], 2),
+    "impact-out": (["impact", "--format", "md", "--out", "{tmp}/i.md"], 0),
+    "deep-snapshot": (["plan", "--snapshot", "{tmp}/deep.json"], 1),
+    "digits-snapshot": (["plan", "--snapshot", "{tmp}/digits.json"], 1),
+    "long-seed": (["attack", "--seed", LONG], 1),
+    "long-trials": (["attack", "--trials", "-" + LONG], 1),
+    "long-key-bits": (["attack", "--key-bits", "-" + LONG], 1),
+    # Past _PURE_TRIALS: numpy draws it if it is installed, pure Python if not.
+    "attack-1e6": (["attack", "--trials", "1000000"], 0),
 }
+# Nesting too deep for json, and an integer past Python's digit limit.
+COLD_INPUTS = {"deep.json": "[" * 200_000, "digits.json": '{"total_utxos": ' + NINES + "}"}
 
 
 @pytest.mark.parametrize("command", COLD_EXITS)
 def test_a_cold_command_exits_as_run_does(tmp_path, capsys, command):
     template, code = COLD_EXITS[command]
     argv = [arg.format(tmp=tmp_path) for arg in template]
-    cold = subprocess.run(
-        [sys.executable, "-m", "qsafe", *argv], capture_output=True, text=True
-    )
+    for name, text in COLD_INPUTS.items():
+        (tmp_path / name).write_text(text)
+
+    def written():
+        return {p: p.read_bytes() for p in tmp_path.iterdir() if p.name not in COLD_INPUTS}
+
+    cold = subprocess.run([sys.executable, "-m", "qsafe", *argv], capture_output=True, text=True)
+    cold_files = written()
+    for path in cold_files:
+        path.unlink()
     assert (cold.returncode, cold.stdout, cold.stderr) == run_capture(capsys, argv)
+    assert written() == cold_files
     assert cold.returncode == code
 
 

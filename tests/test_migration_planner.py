@@ -12,7 +12,9 @@ from qsafe.block_packer import (
     UpgradeScheme,
     blocks_required,
     per_block_capacity,
+    per_input_weight,
 )
+from qsafe.cli_report import round_half_up
 from qsafe.migration_planner import (
     DEFAULT_SNAPSHOT,
     EveryKthBlock,
@@ -24,6 +26,7 @@ from qsafe.migration_planner import (
     throttled_schedule,
 )
 from qsafe.weight_model import DEFAULT_PARAMS, NetworkParams
+from test_acceptance import REFERENCE_GRID
 
 ECDSA = UpgradeScheme.ECDSA_SEGWIT
 SCHNORR = UpgradeScheme.SCHNORR_TAPROOT
@@ -364,6 +367,19 @@ def test_schedule_style_validation():
     with pytest.raises(ValueError, match=r"bandwidth must be in \(0, 1\]"):
         FractionOfEachBlock(Fraction(3, 2))
 
+
+def test_the_reference_grid_is_the_papers_fractional_blocks():
+    # The paper's convention (README, "Why plan prints 1828.17 h"): N * w
+    # WU fill fractional blocks of 4_000_000 - o WU and 1/6 h each.  Only
+    # an overhead o of 176 WU, a 44-byte output, or one either side of it
+    # gives all 16 cells to the cent.
+    def grid(o):
+        hours = [Fraction(DEFAULT_SNAPSHOT.total * per_input_weight(scheme), 4_000_000 - o) / 6
+                 for scheme in (ECDSA, SCHNORR)]
+        return {b: tuple(float(round_half_up(h / b / unit)) for h in hours for unit in (1, 24))
+                for b in REFERENCE_GRID}
+
+    assert [o for o in range(400) if grid(o) == REFERENCE_GRID] == [175, 176, 177]
 
 
 @settings(max_examples=200, deadline=None)
