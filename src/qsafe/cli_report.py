@@ -4,12 +4,12 @@ Four subcommands, one per model surface, each declared in ``_COMMANDS``.
 
 Reports render in one of ``FORMATS``: CSV, JSON, or a Markdown table.
 Duration cells carry exact ``Fraction`` values until rendering: CSV and
-Markdown print the columns a handler names half-up at 2 decimals, JSON
-keeps full precision, and a value too large for a JSON number is bad
-input.  Output is deterministic, so identical flags (and seed) give
-identical bytes, and ``--out`` writes the bytes stdout would.
-The CLI does no arithmetic of its own beyond the hours-to-days unit
-conversion; every other cell comes straight from a library call.
+Markdown print every column in hours or days (a name ending ``_hours``
+or ``_days``) half-up at 2 decimals, JSON keeps full precision, and a
+value too large to print is bad input.  Output is deterministic, so
+identical flags (and seed) give identical bytes, and ``--out`` writes
+the bytes stdout would.  Handlers return rows, and every cell but the
+schedule's hours-to-days conversion comes straight from a library call.
 
 Exit codes: 0 success, 1 bad usage or bad values, 2 I/O failure.
 """
@@ -61,12 +61,14 @@ def round_half_up(value) -> str:
 
 
 def _cell_text(col, value, rounded: bool) -> str:
-    if not rounded and isinstance(value, Rational) and not isinstance(value, int):
-        return str(float(value))
     try:
+        if not rounded and isinstance(value, Rational) and not isinstance(value, int):
+            return str(float(value))
         return round_half_up(value) if rounded else str(value)
     except ValueError:  # str refuses an int past Python's int-digit limit
         raise ValueError(f"{col}: value too long to print") from None
+    except OverflowError:  # float refuses a Fraction past its range
+        raise ValueError(f"{col}: value too large to print") from None
 
 
 def _cell_json(col, value):
@@ -225,7 +227,7 @@ def _cmd_capacity(args):
         }
         for label, per_input, overhead in strategies
     ]
-    return rows, ()
+    return rows
 
 
 def _schedule_rows(snapshot, bandwidths, style_name, params):
@@ -258,11 +260,11 @@ def _schedule_rows(snapshot, bandwidths, style_name, params):
                     "duration_days": hours / 24,
                 }
             )
-    return rows, {"duration_hours", "duration_days"}
+    return rows
 
 
 def _cmd_plan(args):
-    from .migration_planner import bandwidth_table, mixed_duration
+    from .migration_planner import bandwidth_table
 
     params = _params(args)
     snapshot = load_snapshot(args["--snapshot"])
@@ -278,17 +280,7 @@ def _cmd_plan(args):
         return _schedule_rows(snapshot, bandwidths, args["--schedule"], params)
     if args["--schnorr-fraction"] is not None:
         snapshot = snapshot._replace(schnorr_fraction=args["--schnorr-fraction"])
-    if bandwidths is None:
-        bandwidths = list(DEFAULT_BANDWIDTHS)
-    rows = bandwidth_table(snapshot, bandwidths, params)
-    if snapshot.schnorr_fraction > 0:
-        # Interpolated between the two pure bounds by the Schnorr share;
-        # not a bound on the mixed pool.
-        for row, bandwidth in zip(rows, bandwidths):
-            hours = mixed_duration(snapshot, bandwidth, params)
-            row["mixed_hours"] = hours
-            row["mixed_days"] = hours / 24
-    return rows, set(rows[0]) - {"bandwidth"}
+    return bandwidth_table(snapshot, bandwidths or DEFAULT_BANDWIDTHS, params)
 
 
 def _cmd_attack(args):
@@ -307,23 +299,10 @@ def _cmd_attack(args):
         attacker=QuantumAttacker(key_bits=args["--key-bits"], overhead_seconds=overhead),
         mining=mining,
     )
-    rows = []
-    for result in sweep(scenario, clocks, args["--trials"], args["--seed"]):
-        rows.append(
-            {
-                "mining": args["--mining"],
-                "key_bits": args["--key-bits"],
-                "clock_hz": result["clock_hz"],
-                "overhead_seconds": overhead,
-                "break_seconds": result["break_seconds"],
-                "p_closed_form": result["p_closed_form"],
-                "p_estimate": result["p_estimate"],
-                "std_error": result["std_error"],
-                "trials": args["--trials"],
-                "seed": args["--seed"],
-            }
-        )
-    return rows, ()
+    return [
+        {"mining": args["--mining"], **row}
+        for row in sweep(scenario, clocks, args["--trials"], args["--seed"])
+    ]
 
 
 def _cmd_impact(args):
@@ -352,7 +331,7 @@ def _cmd_impact(args):
                 "weight_slowdown": throughput_slowdown(scheme, params),
             }
         )
-    return rows, ()
+    return rows
 
 
 # --- the command line -------------------------------------------------
@@ -460,7 +439,9 @@ def run(argv=None) -> int:
         if handler is None:  # _read printed the help asked for
             sys.stdout.flush()
             return EXIT_OK
-        rows, rounded = handler(args)
+        rows = handler(args)
+        # CSV and Markdown print every column in hours or days to the cent.
+        rounded = {col for row in rows[:1] for col in row if col.endswith(("_hours", "_days"))}
         text = render_report(rows, args["--format"], rounded)
         if args["--out"] is None:
             sys.stdout.write(text)

@@ -298,6 +298,10 @@ def _philox(key: tuple[int, int], start: int) -> "np.random.Philox":
     return bitgen
 
 
+# _win_edge's first precision in digits, doubled until its floor is decided.
+_EXP_DIGITS = 40
+
+
 def _win_edge(mining: MiningModel, t_break: float) -> tuple[int, bool]:
     """The edge K and side below of the trials the attacker wins.
 
@@ -320,7 +324,7 @@ def _win_edge(mining: MiningModel, t_break: float) -> tuple[int, bool]:
     x = t_break / Fraction(mining.mean_blocktime_seconds)
     if x >= 37:  # 2**53 * e**-37 < 1: no trial wins
         return 1 << 53, False
-    digits = 40
+    digits = _EXP_DIGITS
     while True:
         # The quotient and exp are each within half a unit in their last
         # digit, and x < 37 magnifies the quotient's error in exp, so the
@@ -492,6 +496,9 @@ def sweep(
 ) -> list[dict]:
     """Closed-form and Monte Carlo win probabilities across clock speeds.
 
+    A row's columns are ``key_bits``, ``clock_hz``, ``overhead_seconds``,
+    ``break_seconds``, ``p_closed_form``, ``p_estimate``, ``std_error``,
+    ``trials`` and ``seed``: ``qsafe attack``'s, but for ``mining``.
     Row i uses substream i of the master seed, so rows are independent
     and each is reproducible from (seed, row index) alone.  Every clock
     is validated before any trial runs.  _numpy_draws is asked for all
@@ -510,13 +517,18 @@ def sweep(
         estimate, std_error = success_probability_monte_carlo(
             row_scenario, n_trials, seed, stream=index
         )
+        attacker = row_scenario.attacker
         rows.append(
             {
+                "key_bits": attacker.key_bits,
                 "clock_hz": clock_hz,
-                "break_seconds": break_duration(row_scenario.attacker),
+                "overhead_seconds": attacker.overhead_seconds,
+                "break_seconds": break_duration(attacker),
                 "p_closed_form": success_probability_closed_form(row_scenario),
                 "p_estimate": estimate,
                 "std_error": std_error,
+                "trials": n_trials,
+                "seed": seed,
             }
         )
     return rows

@@ -167,7 +167,9 @@ def bandwidth_table(
     bandwidths,
     params: NetworkParams = DEFAULT_PARAMS,
 ) -> list[dict]:
-    """One row per bandwidth: hours and days for each pure-scheme bound."""
+    """One row per bandwidth: hours and days for each pure-scheme bound,
+    and, when the snapshot has a Schnorr share, ``mixed_hours`` and
+    ``mixed_days`` from :func:`mixed_duration`."""
     rows = []
     for value in bandwidths:
         bandwidth = _as_bandwidth(value)
@@ -177,15 +179,19 @@ def bandwidth_table(
         schnorr_hours = lower_bound_duration(
             snapshot, UpgradeScheme.SCHNORR_TAPROOT, bandwidth, params
         )
-        rows.append(
-            {
-                "bandwidth": bandwidth,
-                "ecdsa_hours": ecdsa_hours,
-                "ecdsa_days": ecdsa_hours / 24,
-                "schnorr_hours": schnorr_hours,
-                "schnorr_days": schnorr_hours / 24,
-            }
-        )
+        row = {
+            "bandwidth": bandwidth,
+            "ecdsa_hours": ecdsa_hours,
+            "ecdsa_days": ecdsa_hours / 24,
+            "schnorr_hours": schnorr_hours,
+            "schnorr_days": schnorr_hours / 24,
+        }
+        if snapshot.schnorr_fraction > 0:
+            # Interpolated between the two pure bounds by the Schnorr share;
+            # not a bound on the mixed pool.
+            row["mixed_hours"] = mixed_duration(snapshot, bandwidth, params)
+            row["mixed_days"] = row["mixed_hours"] / 24
+        rows.append(row)
     return rows
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import warnings
 from decimal import Context
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from qsafe.cli_report import run
 from qsafe.jit_attack_sim import (
     _PACKED_BLOCKS,
     AttackScenario,
@@ -263,6 +265,25 @@ def test_sweep_rows_and_reproducibility():
         assert (row["p_estimate"], row["std_error"]) == redo
 
 
+SWEEP_COLUMNS = [
+    "key_bits", "clock_hz", "overhead_seconds", "break_seconds",
+    "p_closed_form", "p_estimate", "std_error", "trials", "seed",
+]
+
+
+def test_sweep_rows_carry_the_attack_columns_but_mining(capsys):
+    assert run(["attack", "--trials", "10"]) == 0
+    assert capsys.readouterr().out.splitlines()[0].split(",") == ["mining", *SWEEP_COLUMNS]
+    attacker = QuantumAttacker(key_bits=128, effective_clock_hz=1.0, overhead_seconds=2.5)
+    rows = sweep(AttackScenario(attacker, Memoryless()), [1000.0, 50.0], n_trials=30, seed=7)
+    assert [row["clock_hz"] for row in rows] == [1000.0, 50.0]
+    for row in rows:
+        assert list(row) == SWEEP_COLUMNS
+        assert (row["key_bits"], row["overhead_seconds"], row["trials"], row["seed"]) == (
+            128, 2.5, 30, 7,
+        )
+
+
 def test_sweep_rejects_empty_range():
     scenario = AttackScenario(BASELINE, Memoryless())
     with pytest.raises(ValueError):
@@ -482,6 +503,31 @@ def test_win_edge_is_pinned(mining, t_break, expected):
     for k in (edge - 1, edge):
         if k < 2**53:
             assert exact_wins(mining, t_break, k) == ((k < edge) == below)
+
+
+def memoryless_edge_at_120_digits(mean, t_break):
+    """_win_edge's memoryless rule with 2**53 * e**-x taken at 120 digits,
+    whose error, below 10**-100, decides every floor drawn here."""
+    x = Fraction(t_break) / Fraction(mean)
+    context = Context(prec=120)
+    scaled = Fraction(context.divide(-x.numerator, x.denominator).exp(context)) * 2**53
+    low = math.floor(scaled)
+    assert Fraction(1, 10**100) < scaled - low < 1 - Fraction(1, 10**100)
+    return 2**53 - low, False
+
+
+@pytest.mark.parametrize("digits", [6, 12])
+def test_win_edge_slack_holds_from_a_low_first_precision(monkeypatch, digits):
+    # Started at a few digits, the edge is right only if the slack is as
+    # wide as _win_edge's comment argues; a tighter one returns a floor
+    # that the first precision has not decided.
+    monkeypatch.setattr("qsafe.jit_attack_sim._EXP_DIGITS", digits)
+    rng = random.Random(digits)
+    for _ in range(1000):
+        t_break = rng.uniform(0, 37 * 600.0)
+        assert _win_edge(Memoryless(600.0), t_break) == memoryless_edge_at_120_digits(
+            600.0, t_break
+        )
 
 
 def test_win_edge_of_a_huge_mean_does_not_warn():

@@ -184,6 +184,19 @@ def test_bandwidth_table_shape_and_scaling():
         assert row["schnorr_days"] * 24 == row["schnorr_hours"]
 
 
+def test_bandwidth_table_adds_the_mixed_columns_for_a_schnorr_share():
+    bandwidths = [Fraction(1, 3), 1]
+    params = DEFAULT_PARAMS._replace(apply_reserves=True)
+    snapshot = UtxoSnapshot("t", DEFAULT_SNAPSHOT.total, Fraction(3, 10))
+    rows = bandwidth_table(snapshot, bandwidths, params)
+    for row, bandwidth in zip(rows, bandwidths):
+        assert list(row)[-2:] == ["mixed_hours", "mixed_days"]
+        assert row["mixed_hours"] == mixed_duration(snapshot, bandwidth, params)
+        assert row["mixed_days"] == row["mixed_hours"] / 24
+    for row in bandwidth_table(snapshot._replace(schnorr_fraction=0), bandwidths, params):
+        assert "mixed_hours" not in row and "mixed_days" not in row
+
+
 def test_mixed_duration_is_affine_with_pure_endpoints():
     zero = UtxoSnapshot("t", DEFAULT_SNAPSHOT.total, 0)
     one = UtxoSnapshot("t", DEFAULT_SNAPSHOT.total, 1)

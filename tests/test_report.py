@@ -60,6 +60,13 @@ def test_unrounded_fractions_render_as_floats():
     assert json.loads(render_report(rows, "json")) == [{"x": 0.25}]
 
 
+@pytest.mark.parametrize("fmt", ["csv", "md"])
+def test_an_unrounded_fraction_past_float_range_is_bad_input(fmt):
+    # A ValueError, as JSON raises, so that run() reports it as bad input.
+    with pytest.raises(ValueError, match="^x: value too large to print$"):
+        render_report([{"x": Fraction(10**400, 3)}], fmt)
+
+
 def test_empty_rows():
     with pytest.raises(ValueError):
         render_report([], "csv")
